@@ -39,7 +39,7 @@ from .errors import (
     NotPsdError,
     SingularAngleError,
 )
-from .linalg import DEFAULT_TOL, Tolerances, _require_unitary, expm_skew
+from .linalg import DEFAULT_TOL, TRACE_TOL, Tolerances, _require_unitary, expm_skew
 from .single import _check_simplex
 from .states import DensityMatrix
 
@@ -54,8 +54,6 @@ __all__ = [
     "build_core",
     "assemble_rho_block",
 ]
-
-_TRACE_TOL = 1e-10
 
 
 def _as_blocks(Zs, m=None, who="block vector"):
@@ -245,7 +243,7 @@ class BlockDiagonalCore:
             total += float(np.trace(L).real)
             L.flags.writeable = False
             blocks.append(L)
-        if abs(total - 1.0) > _TRACE_TOL:
+        if abs(total - 1.0) > TRACE_TOL:
             raise BadNormalizationError(f"core traces sum to {total!r}, not 1")
         object.__setattr__(self, "blocks", tuple(blocks))
 

@@ -19,17 +19,17 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _random as rnd
-from .blocks import BlockParams, assemble_rho_block
+from .blocks import BlockParams, assemble_rho_block, normalize_blocks
 from .entanglement import (
     BOUNDARY_BAND,
     PptReport,
-    circulant_ppt_margins,
     detect_structure,
     ppt_check,
 )
@@ -40,7 +40,7 @@ from .errors import (
     SingularAngleError,
 )
 from .families import (
-    FamilySpec,
+    FAMILIES,
     bell_diagonal,
     build_family,
     circulant_rho,
@@ -52,7 +52,7 @@ from .families import (
     toeplitz_state,
 )
 from .io import ParamFileError, fmt_float, load_param_file, read_matrix, write_matrix
-from .linalg import DEFAULT_TOL, Tolerances, polar
+from .linalg import DEFAULT_TOL, TRACE_TOL, Tolerances, polar
 from .single import SingleParams, assemble_rho_single
 from .states import DensityMatrix
 from .validate import run_validation, serialize_counterexample
@@ -64,8 +64,6 @@ EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 EXIT_NOT_A_STATE = 4
 EXIT_MISMATCH = 5
-
-_TRACE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -108,10 +106,8 @@ def cmd_generate(args, tol) -> int:
         rho = assemble_rho_single(params, tol)
     elif isinstance(params, BlockParams):
         rho = assemble_rho_block(params, tol)
-    elif isinstance(params, FamilySpec):
+    else:
         rho = build_family(params, tol)
-    else:  # pragma: no cover
-        raise ParamFileError(f"unsupported parameter object {type(params)!r}")
     write_matrix(args.output, rho.mat, args.format, rho.n, rho.m)
     print(f"wrote {rho.n * rho.m}x{rho.n * rho.m} state (n={rho.n}, m={rho.m}) to {args.output}")
     return EXIT_OK
@@ -124,7 +120,6 @@ def cmd_analyze(args, tol) -> int:
     if n is None or m is None:
         print("analyze: dims unknown; pass --n and --m", file=sys.stderr)
         return EXIT_INPUT
-    n, m = int(n), int(m)
     if mat.shape != (n * m, n * m):
         print(
             f"analyze: matrix shape {mat.shape} does not match n*m = {n * m}",
@@ -140,7 +135,7 @@ def cmd_analyze(args, tol) -> int:
     problems = []
     if herm_dev > tol.tol_herm * scale:
         problems.append(f"hermiticity deviation {herm_dev:.3e}")
-    if trace_dev > _TRACE_TOL:
+    if trace_dev > TRACE_TOL:
         problems.append(f"trace deviates from 1 by {trace_dev:.3e}")
     if eigs[0] < -tol.tol_psd:
         problems.append(f"negative eigenvalue {eigs[0]:.3e}")
@@ -286,8 +281,6 @@ class _Reproducer:
         mr = m * rho.mat
         self.check("idempotence residual", 0.0, float(np.linalg.norm(mr @ mr - mr)), 1e-10)
         self.check("rank", float(m), float(rho.rank(self.tol)), 0.0)
-        from .blocks import normalize_blocks
-
         Ps = [polar(Zt, self.tol)[0] for Zt in normalize_blocks(Zs, self.tol)]
         self.check_flag("nonabelian sphere", True, nonabelian_sphere_check(Ps, self.tol))
 
@@ -317,14 +310,6 @@ def cmd_reproduce(args, tol) -> int:
 
 # -- sweep ------------------------------------------------------------------
 
-_SWEEP_AXES = {
-    "pure_P": ("alpha",),
-    "isotropic": ("p",),
-    "isotropic_alpha": ("p", "alpha"),
-    "circulant": ("alpha", "beta"),
-    "bell_diagonal": ("p1", "p2", "p3"),
-}
-
 
 def _parse_grid(spec):
     try:
@@ -338,111 +323,79 @@ def _parse_grid(spec):
     return name, np.linspace(lo, hi, count)
 
 
-def _parse_fixed(items):
+def _parse_fixed(items, family):
+    """``--set key=value`` items; a ``reals`` parameter takes a comma-separated list."""
     fixed = {}
     for item in items:
         try:
             key, value = item.split("=", 1)
+            reals = family.params.get(key) == "reals"
+            fixed[key] = [float(v) for v in value.split(",")] if reals else float(value)
         except ValueError as exc:
-            raise ParamFileError(f"bad --set {item!r}: expected key=value") from exc
-        parts = value.split(",")
-        fixed[key] = float(parts[0]) if len(parts) == 1 else [float(v) for v in parts]
+            raise ParamFileError(f"bad --set {item!r}: expected key=number(s)") from exc
     return fixed
-
-
-def _sweep_state(family, point, tol):
-    if family == "pure_P":
-        return pure_P(point["alpha"], tol)
-    if family == "isotropic":
-        return isotropic(point["p"], tol)
-    if family == "isotropic_alpha":
-        return build_family(
-            FamilySpec("isotropic_alpha", {"p": point["p"], "alpha": point["alpha"]}), tol
-        )
-    if family == "circulant":
-        return circulant_rho(point["p"], point["alpha"], point["beta"], tol)
-    if family == "bell_diagonal":
-        return bell_diagonal(point["p"], tol)
-    raise ParamFileError(f"sweep does not support family {family!r}")
-
-
-def _sweep_margin(family, point):
-    """Analytic PPT margin (sign = verdict) or None when unavailable."""
-    if family == "pure_P":
-        s, c = np.sin(point["alpha"]), np.cos(point["alpha"])
-        return -abs(s * c)
-    if family == "isotropic":
-        p = point["p"]
-        return min((1.0 - 3.0 * p) / 4.0, (1.0 + p) / 4.0)
-    if family == "isotropic_alpha":
-        p, alpha = point["p"], point["alpha"]
-        s, c = np.sin(alpha), np.cos(alpha)
-        base = (1.0 - p) / 4.0
-        return min(base + p * s * s, base + p * c * c, base + p * s * c, base - p * s * c)
-    if family == "circulant":
-        return min(*circulant_ppt_margins(point["p"], point["alpha"], point["beta"]))
-    if family == "bell_diagonal":
-        return 0.5 - max(point["p"])
-    return None
 
 
 def cmd_sweep(args, tol) -> int:
     if args.output is None:
         print("sweep: --output is required", file=sys.stderr)
         return EXIT_INPUT
-    family = args.family
-    if family not in _SWEEP_AXES:
+    family = FAMILIES.get(args.family)
+    if family is None or family.margin is None:
+        supported = sorted(k for k, f in FAMILIES.items() if f.margin is not None)
         print(
-            f"sweep: unknown family {family!r}; supported: {sorted(_SWEEP_AXES)}",
+            f"sweep: unknown family {args.family!r}; supported: {supported}",
             file=sys.stderr,
         )
         return EXIT_INPUT
     axes = [_parse_grid(spec) for spec in args.grid]
-    fixed = _parse_fixed(args.set or [])
+    fixed = _parse_fixed(args.set, family)
     for name, _ in axes:
-        if name not in _SWEEP_AXES[family]:
+        if name not in family.axes:
             raise ParamFileError(
-                f"axis {name!r} is not a parameter of {family!r}; "
-                f"expected one of {_SWEEP_AXES[family]}"
+                f"axis {name!r} is not a parameter of {args.family!r}; "
+                f"expected one of {family.axes}"
             )
+    settable = set(family.axes) | (set(family.params) - set(family.derive))
+    unknown = sorted(set(fixed) - settable)
+    if unknown:
+        raise ParamFileError(f"--set {unknown}: {args.family!r} takes only {sorted(settable)}")
+    given = set(fixed) | {name for name, _ in axes} | set(family.derive)
+    missing = [k for k in family.params if k not in given]
+    if missing:
+        raise ParamFileError(f"sweep {args.family!r}: parameters {missing} need --grid or --set")
 
     header = [name for name, _ in axes] + [
         "min_pt_eig", "analytic_margin", "analytic_ppt", "numeric_ppt", "agreement",
     ]
-    rows = []
     grids = np.meshgrid(*[vals for _, vals in axes], indexing="ij")
-    coords = np.stack([g.reshape(-1) for g in grids], axis=-1) if axes else np.zeros((1, 0))
-    for coord in coords:
-        point = dict(fixed)
-        point.update({name: float(v) for (name, _), v in zip(axes, coord)})
-        if family == "bell_diagonal":
-            p123 = [point.get(k, 0.0) for k in ("p1", "p2", "p3")]
-            point["p"] = p123 + [1.0 - sum(p123)]
-        rho = _sweep_state(family, point, tol)
-        numeric = ppt_check(rho, tol)
-        margin = _sweep_margin(family, point)
-        row = [fmt_float(v) for v in coord] + [fmt_float(numeric.min_pt_eig)]
-        if margin is None:
-            row += ["", "", str(numeric.is_ppt).lower(), ""]
-        else:
-            analytic_ppt = margin >= 0.0
-            if abs(margin) < BOUNDARY_BAND:
-                agreement = "boundary"
-            else:
-                agreement = "true" if analytic_ppt == numeric.is_ppt else "false"
-            row += [
-                fmt_float(margin),
-                str(analytic_ppt).lower(),
-                str(numeric.is_ppt).lower(),
-                agreement,
-            ]
-        rows.append(row)
-
-    with open(args.output, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    print(f"wrote {len(rows)} rows to {args.output}")
+    coords = np.stack([g.reshape(-1) for g in grids], axis=-1)
+    fh = open(args.output, "w", newline="", encoding="utf-8")
+    try:
+        with fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for coord in coords:
+                point = dict(fixed)
+                point.update({name: float(v) for (name, _), v in zip(axes, coord)})
+                for key, derive in family.derive.items():
+                    point[key] = derive(point)
+                values = [point[k] for k in family.params]
+                numeric = ppt_check(family.build(*values, tol), tol)
+                margin = family.margin(*values)
+                analytic_ppt = margin >= 0.0
+                if abs(margin) < BOUNDARY_BAND:
+                    agreement = "boundary"
+                else:
+                    agreement = "true" if analytic_ppt == numeric.is_ppt else "false"
+                writer.writerow([fmt_float(v) for v in coord] + [
+                    fmt_float(numeric.min_pt_eig), fmt_float(margin),
+                    str(analytic_ppt).lower(), str(numeric.is_ppt).lower(), agreement,
+                ])
+    except BaseException:
+        os.remove(args.output)  # leave no truncated CSV behind
+        raise
+    print(f"wrote {len(coords)} rows to {args.output}")
     return EXIT_OK
 
 

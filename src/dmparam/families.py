@@ -12,26 +12,32 @@ by entry.  All angles are radians.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .blocks import build_Ajnm
-from .entanglement import _check_angles
+from .entanglement import _check_angles, circulant_ppt_margins
 from .errors import (
     BadNormalizationError,
     ConditionViolatedError,
     DimensionMismatchError,
+    DmParamError,
     NotPsdError,
     OutOfRangeError,
 )
-from .linalg import DEFAULT_TOL, Tolerances, _require_hermitian, _require_unitary, matfun_psd
+from .linalg import (
+    DEFAULT_TOL, TRACE_TOL, Tolerances, _require_hermitian, _require_unitary, matfun_psd
+)
 from .single import _check_simplex
 from .states import DensityMatrix
 
 __all__ = [
     "SIGMA_X",
     "SIGMA_Z",
+    "FAMILIES",
+    "Family",
     "FamilySpec",
     "pure_P",
     "isotropic",
@@ -52,7 +58,6 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 _COND_TOL = 1e-10
-_TRACE_TOL = 1e-10
 
 
 def _require_psd(M, tol, who):
@@ -184,7 +189,7 @@ def two_by_m(U, L1, L2, Xi2, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
     if not L1.shape == L2.shape == Xi2.shape == (m, m):
         raise DimensionMismatchError("two_by_m: all inputs must be m x m")
     tr = float((np.trace(L1) + np.trace(L2)).real)
-    if abs(tr - 1.0) > _TRACE_TOL:
+    if abs(tr - 1.0) > TRACE_TOL:
         raise BadNormalizationError(f"two_by_m: Tr(L1 + L2) = {tr!r}, not 1")
     C = matfun_psd(Xi2, "cos", tol)
     S = matfun_psd(Xi2, "sin", tol)
@@ -331,17 +336,52 @@ def nonabelian_sphere_check(Ps, tol: Tolerances = DEFAULT_TOL) -> bool:
     return bool(np.linalg.norm(total - np.eye(m)) <= 1e-10)
 
 
-_FAMILY_KINDS = {
-    "pure_P": ("alpha",),
-    "isotropic": ("p",),
-    "isotropic_alpha": ("p", "alpha"),
-    "circulant": ("p", "alpha", "beta"),
-    "bell_diagonal": ("p",),
-    "two_by_m": ("U", "L1", "L2", "Xi2"),
-    "toeplitz": ("L", "U", "Xi2"),
-    "hankel": ("U", "L1", "L2", "Xi2"),
-    "class3": ("n", "m", "Z"),
-    "nonabelian_bloch": ("U", "Xi2"),
+@dataclass(frozen=True)
+class Family:
+    """A family's constructor and the file type of each of its parameters.
+
+    ``params`` lists the constructor's arguments in positional order, each
+    mapped to ``int``, ``real``, ``reals``, ``matrix`` or ``matrices``.
+    Families that ``dmparam sweep`` scans add their grid ``axes``, the
+    analytic PPT ``margin`` of the constructor arguments (its sign is the
+    verdict) and, where a parameter is computed from the axes, ``derive``.
+    """
+
+    build: Callable
+    params: dict
+    axes: tuple = ()
+    margin: Callable | None = None
+    derive: dict = field(default_factory=dict)
+
+
+def _isotropic_alpha_margin(p, alpha):
+    s, c = np.sin(alpha), np.cos(alpha)
+    base = (1.0 - p) / 4.0
+    return min(base + p * s * s, base + p * c * c, base + p * s * c, base - p * s * c)
+
+
+def _bell_weights(point):
+    """``p`` from the axes ``p1..p3`` (0 when not given), with ``p4 = 1 - p1 - p2 - p3``."""
+    p123 = [point.get(k, 0.0) for k in ("p1", "p2", "p3")]
+    return p123 + [1.0 - sum(p123)]
+
+
+FAMILIES = {
+    "pure_P": Family(pure_P, {"alpha": "real"}, ("alpha",),
+                     lambda alpha: -abs(np.sin(alpha) * np.cos(alpha))),
+    "isotropic": Family(isotropic, {"p": "real"}, ("p",),
+                        lambda p: min((1.0 - 3.0 * p) / 4.0, (1.0 + p) / 4.0)),
+    "isotropic_alpha": Family(isotropic_alpha, {"p": "real", "alpha": "real"}, ("p", "alpha"),
+                              _isotropic_alpha_margin),
+    "circulant": Family(circulant_rho, {"p": "reals", "alpha": "real", "beta": "real"},
+                        ("alpha", "beta"), lambda p, a, b: min(*circulant_ppt_margins(p, a, b))),
+    "bell_diagonal": Family(bell_diagonal, {"p": "reals"}, ("p1", "p2", "p3"),
+                            lambda p: 0.5 - max(p), {"p": _bell_weights}),
+    "two_by_m": Family(two_by_m, dict.fromkeys(("U", "L1", "L2", "Xi2"), "matrix")),
+    "toeplitz": Family(toeplitz_state, dict.fromkeys(("L", "U", "Xi2"), "matrix")),
+    "hankel": Family(hankel_state, dict.fromkeys(("U", "L1", "L2", "Xi2"), "matrix")),
+    "class3": Family(class3_state, {"n": "int", "m": "int", "Z": "matrices"}),
+    "nonabelian_bloch": Family(nonabelian_bloch, dict.fromkeys(("U", "Xi2"), "matrix")),
 }
 
 
@@ -353,11 +393,11 @@ class FamilySpec:
     params: dict
 
     def __post_init__(self):
-        if self.kind not in _FAMILY_KINDS:
+        if self.kind not in FAMILIES:
             raise DimensionMismatchError(
-                f"unknown family kind {self.kind!r}; known: {sorted(_FAMILY_KINDS)}"
+                f"unknown family kind {self.kind!r}; known: {sorted(FAMILIES)}"
             )
-        missing = [k for k in _FAMILY_KINDS[self.kind] if k not in self.params]
+        missing = [k for k in FAMILIES[self.kind].params if k not in self.params]
         if missing:
             raise DimensionMismatchError(
                 f"family {self.kind!r} is missing parameters {missing}"
@@ -365,26 +405,13 @@ class FamilySpec:
 
 
 def build_family(spec: FamilySpec, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
-    """Construct the state described by a :class:`FamilySpec`."""
-    q = spec.params
-    if spec.kind == "pure_P":
-        return pure_P(q["alpha"], tol)
-    if spec.kind == "isotropic":
-        return isotropic(q["p"], tol)
-    if spec.kind == "isotropic_alpha":
-        return isotropic_alpha(q["p"], q["alpha"], tol)
-    if spec.kind == "circulant":
-        return circulant_rho(q["p"], q["alpha"], q["beta"], tol)
-    if spec.kind == "bell_diagonal":
-        return bell_diagonal(q["p"], tol)
-    if spec.kind == "two_by_m":
-        return two_by_m(q["U"], q["L1"], q["L2"], q["Xi2"], tol)
-    if spec.kind == "toeplitz":
-        return toeplitz_state(q["L"], q["U"], q["Xi2"], tol)
-    if spec.kind == "hankel":
-        return hankel_state(q["U"], q["L1"], q["L2"], q["Xi2"], tol)
-    if spec.kind == "class3":
-        return class3_state(q["n"], q["m"], q["Z"], tol)
-    if spec.kind == "nonabelian_bloch":
-        return nonabelian_bloch(q["U"], q["Xi2"], tol)
-    raise AssertionError(f"unhandled kind {spec.kind!r}")  # pragma: no cover
+    """Construct the state described by a :class:`FamilySpec`.
+
+    A validation error names the family in its message.
+    """
+    f = FAMILIES[spec.kind]
+    try:
+        return f.build(*(spec.params[k] for k in f.params), tol)
+    except DmParamError as exc:
+        exc.args = (f"family {spec.kind!r}: {exc}",)
+        raise

@@ -28,7 +28,7 @@ import json
 import numpy as np
 
 from .blocks import BlockParams
-from .families import FamilySpec
+from .families import FAMILIES, FamilySpec
 from .single import SingleParams
 
 __all__ = [
@@ -62,10 +62,30 @@ def _to_complex(obj, field):
     raise ParamFileError(f"field {field!r}: expected a number or [re, im] pair")
 
 
-def _to_vector(obj, field):
+def _to_int(obj, field):
+    if isinstance(obj, bool) or not isinstance(obj, int):
+        raise ParamFileError(f"field {field!r}: expected an integer")
+    return obj
+
+
+def _to_real(obj, field):
+    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
+        raise ParamFileError(f"field {field!r}: expected a real number")
+    return float(obj)
+
+
+def _to_list(obj, field):
     if not isinstance(obj, list):
         raise ParamFileError(f"field {field!r}: expected a list")
-    return np.array([_to_complex(v, field) for v in obj], dtype=complex)
+    return obj
+
+
+def _to_reals(obj, field):
+    return [_to_real(v, f"{field}[{k}]") for k, v in enumerate(_to_list(obj, field))]
+
+
+def _to_vector(obj, field):
+    return np.array([_to_complex(v, field) for v in _to_list(obj, field)], dtype=complex)
 
 
 def _to_matrix(obj, field):
@@ -76,6 +96,20 @@ def _to_matrix(obj, field):
     if any(len(r) != width for r in rows):
         raise ParamFileError(f"field {field!r}: ragged matrix rows")
     return np.array(rows, dtype=complex)
+
+
+def _to_matrices(obj, field):
+    return [_to_matrix(M, f"{field}[{k}]") for k, M in enumerate(_to_list(obj, field))]
+
+
+#: Parser of each family parameter type named in ``FAMILIES``.
+_FAMILY_FIELDS = {
+    "int": _to_int,
+    "real": _to_real,
+    "reals": _to_reals,
+    "matrix": _to_matrix,
+    "matrices": _to_matrices,
+}
 
 
 def _complex_pair(z):
@@ -120,53 +154,40 @@ def load_param_file(path):
 
     if kind == "single":
         lambdas = np.real_if_close(_to_vector(_get(payload, "lambdas", kind), "lambdas"))
-        zvecs = _get(payload, "zvecs", kind)
-        if not isinstance(zvecs, list):
-            raise ParamFileError("field 'zvecs': expected a list of vectors")
+        zvecs = _to_list(_get(payload, "zvecs", kind), "zvecs")
         zvecs = [_to_vector(z, f"zvecs[{i}]") for i, z in enumerate(zvecs)]
         return SingleParams(n=len(lambdas), lambdas=lambdas.real, zvecs=tuple(zvecs))
 
     if kind == "block":
-        n = _get(payload, "n", kind)
-        m = _get(payload, "m", kind)
-        if not isinstance(n, int) or not isinstance(m, int):
-            raise ParamFileError("fields 'n'/'m': expected integers")
+        n = _to_int(_get(payload, "n", kind), "n")
+        m = _to_int(_get(payload, "m", kind), "m")
         lambdas = _to_vector(_get(payload, "lambdas", kind), "lambdas").real
-        unitaries = [
-            _to_matrix(U, f"local_unitaries[{k}]")
-            for k, U in enumerate(_get(payload, "local_unitaries", kind))
-        ]
-        blockvecs = []
-        for j, Zs in enumerate(_get(payload, "blockvecs", kind), start=2):
-            if not isinstance(Zs, list):
-                raise ParamFileError(f"field 'blockvecs[{j - 2}]': expected a list")
-            blockvecs.append(
-                tuple(_to_matrix(Z, f"blockvecs[{j - 2}][{k}]") for k, Z in enumerate(Zs))
-            )
+        unitaries = _to_matrices(_get(payload, "local_unitaries", kind), "local_unitaries")
+        blockvecs = _to_list(_get(payload, "blockvecs", kind), "blockvecs")
         return BlockParams(
-            n=n, m=m, lambdas=lambdas,
-            local_unitaries=tuple(unitaries), blockvecs=tuple(blockvecs),
+            n=n, m=m, lambdas=lambdas, local_unitaries=tuple(unitaries),
+            blockvecs=tuple(
+                tuple(_to_matrices(Zs, f"blockvecs[{i}]")) for i, Zs in enumerate(blockvecs)
+            ),
         )
 
     if kind == "family":
         name = _get(payload, "family", kind)
+        if not isinstance(name, str) or name not in FAMILIES:
+            raise ParamFileError(
+                f"field 'family': unknown family {name!r}; known: {sorted(FAMILIES)}"
+            )
+        types = FAMILIES[name].params
         params = {}
         for key, value in payload.items():
             if key == "family":
                 continue
-            if key in ("n", "m"):
-                params[key] = int(value)
-            elif key == "p":
-                if isinstance(value, list):
-                    params[key] = [float(v) for v in value]
-                else:
-                    params[key] = float(value)
-            elif key in ("alpha", "beta"):
-                params[key] = float(value)
-            elif key == "Z":
-                params[key] = [_to_matrix(Z, f"Z[{k}]") for k, Z in enumerate(value)]
-            else:
-                params[key] = _to_matrix(value, key)
+            if key not in types:
+                raise ParamFileError(
+                    f"field {key!r}: not a parameter of family {name!r} "
+                    f"(expected {list(types)})"
+                )
+            params[key] = _FAMILY_FIELDS[types[key]](value, key)
         try:
             return FamilySpec(kind=name, params=params)
         except ValueError as exc:
@@ -217,7 +238,8 @@ def read_matrix(path):
         except json.JSONDecodeError as exc:
             raise ParamFileError(f"cannot parse {path}: {exc}") from exc
         mat = _to_matrix(doc.get("matrix"), "matrix")
-        return mat, doc.get("n"), doc.get("m")
+        n, m = (None if doc.get(k) is None else _to_int(doc[k], k) for k in ("n", "m"))
+        return mat, n, m
     rows = []
     for line in stripped.splitlines():
         line = line.strip()

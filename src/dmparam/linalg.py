@@ -30,6 +30,7 @@ from .errors import (
 __all__ = [
     "Tolerances",
     "DEFAULT_TOL",
+    "TRACE_TOL",
     "Spectrum",
     "herm_eig",
     "expm_skew",
@@ -69,6 +70,9 @@ class Tolerances:
 
 
 DEFAULT_TOL = Tolerances()
+
+#: Allowed deviation of a state's (or a core's) trace from 1.
+TRACE_TOL = 1e-10
 
 
 @dataclass(frozen=True)

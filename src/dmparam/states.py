@@ -16,11 +16,9 @@ from .errors import (
     NotHermitianError,
     NotPsdError,
 )
-from .linalg import DEFAULT_TOL, Tolerances
+from .linalg import DEFAULT_TOL, TRACE_TOL, Tolerances
 
 __all__ = ["DensityMatrix"]
-
-_TRACE_TOL = 1e-10
 
 
 class DensityMatrix:
@@ -63,7 +61,7 @@ class DensityMatrix:
                 f"state Hermiticity deviation {herm_dev:.3e} exceeds tolerance"
             )
         trace_dev = abs(np.trace(mat) - 1.0)
-        if trace_dev > _TRACE_TOL:
+        if trace_dev > TRACE_TOL:
             raise BadNormalizationError(
                 f"state trace deviates from 1 by {trace_dev:.3e}"
             )

@@ -153,8 +153,6 @@ def run_validation(seed: int, trials: int, tol=DEFAULT_TOL):
     results.append(_check("single chain", 1e-10, res))
 
     # Block chain: dual path, spectrum preservation, m = 1 reduction.
-    from .blocks import BlockParams
-
     res = []
     for _ in range(trials):
         n = int(rng.integers(2, 4))
