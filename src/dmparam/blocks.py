@@ -16,15 +16,21 @@ Scalars of the single-system chain are promoted to ``m x m`` matrices:
   eigenvalue slices (the k-th slice is ``lambdas[(k-1)m : km]``), with
   ``Tr(Lambda_1 + ... + Lambda_n) = 1``.
 
-The block unitary ``V_j`` (size ``jm``) has top-left blocks
-``delta_kl I - Zt_k (I - C) Zt_l^dag``, last block column ``Zt_k S``, last
-block row ``-S Zt_l^dag`` and corner ``C``; it equals the top-left block of
-``exp(X_j)`` exactly, which is the ground truth whenever the closed form and
-the exponential path could disagree.  For singular ``Xi_j`` the closed form
-is undefined (``SingularAngleError``) and the exponential path must be used;
-``method="auto"`` arranges that automatically.
+The block unitary ``V_j`` (size ``jm``) has top-left part
+``I - Zh (I - C) Zh^dag``, last block column ``Zh S``, last block row
+``-S Zh^dag`` and corner ``C``, where ``Zh`` stacks the blocks ``Zt_k`` into
+one ``(j-1)m x m`` matrix; it equals the top-left block of ``exp(X_j)``
+exactly, which is the ground truth whenever the closed form and the
+exponential path could disagree.  ``A_j`` is the identity outside its top
+``jm`` rows and columns, so the chain skips all-zero levels and applies each
+closed-form ``V_j`` to the top ``jm`` rows of the running product only.  For
+singular ``Xi_j`` the closed form is undefined (``SingularAngleError``) and
+the exponential path must be used; ``method="auto"`` arranges that
+automatically, and that path (like ``method="exp"``) multiplies by the full
+``nm x nm`` exponential.
 
-For ``m = 1`` everything reduces to :mod:`dmparam.single`.
+For ``m = 1`` everything reduces to :mod:`dmparam.single`, whose chain
+applies each ``V_j`` as a rank-2 update of the top ``j`` rows.
 """
 
 from __future__ import annotations
@@ -55,14 +61,18 @@ __all__ = [
     "assemble_rho_block",
 ]
 
+_METHODS = ("closed", "exp", "auto")
+
 
 def _as_blocks(Zs, m=None, who="block vector"):
-    """Validate a list of equally sized square blocks; return them + size."""
+    """Validate a list of equally sized square blocks.
+
+    Returns the blocks stacked into one ``(k, m, m)`` complex array, and ``m``.
+    """
     if len(Zs) == 0:
         raise DimensionMismatchError(f"{who}: needs at least one block")
-    out = []
-    for k, Z in enumerate(Zs):
-        Z = np.asarray(Z, dtype=complex)
+    out = [np.asarray(Z, dtype=complex) for Z in Zs]
+    for k, Z in enumerate(out):
         if Z.ndim != 2 or Z.shape[0] != Z.shape[1]:
             raise DimensionMismatchError(
                 f"{who}: block {k} is not square (shape {Z.shape})"
@@ -73,59 +83,66 @@ def _as_blocks(Zs, m=None, who="block vector"):
             raise DimensionMismatchError(
                 f"{who}: block {k} has size {Z.shape[0]}, expected {m}"
             )
-        if not np.all(np.isfinite(Z)):
-            raise DimensionMismatchError(f"{who}: block {k} has non-finite entries")
-        out.append(Z)
-    return out, m
+    T = np.stack(out)
+    finite = np.isfinite(T).all(axis=(1, 2))
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise DimensionMismatchError(f"{who}: block {k} has non-finite entries")
+    return T, m
 
 
-def _gram_eig(Zs):
+def _gram_eig(T):
     """Eigendecomposition of ``sum_k Z_k^dag Z_k`` (PSD by construction)."""
-    G = sum(Z.conj().T @ Z for Z in Zs)
+    G = sum(T.conj().transpose(0, 2, 1) @ T)
     G = (G + G.conj().T) / 2.0
     return np.linalg.eigh(G)
 
 
-def _angle_data(Zs, tol):
-    """(Xi, C, S, Ztilde) from one Gram eigendecomposition.
+def _angle_data(T, tol):
+    """(C, S, Ztilde) from one Gram eigendecomposition of the stacked blocks.
 
-    ``Ztilde`` is ``None`` when ``Xi`` is singular (eigenvalue <= tol_psd).
+    ``Ztilde`` is stacked like ``T``.  It is ``None`` when ``Xi`` is
+    singular: the smallest eigenvalue of the Gram matrix ``Xi^2`` is at most
+    ``tol_psd`` relative to the largest (or to one, whichever is bigger).
+    Deciding on the angle itself would let a rounding-level Gram eigenvalue
+    of 1e-17, an angle of about 3e-9, through to the closed form, which then
+    divides by it.
     """
-    w, V = _gram_eig(Zs)
+    w, V = _gram_eig(T)
     s = np.sqrt(np.clip(w, 0.0, None))
-    Xi = (V * s) @ V.conj().T
     C = (V * np.cos(s)) @ V.conj().T
     S = (V * np.sin(s)) @ V.conj().T
-    Xi = (Xi + Xi.conj().T) / 2.0
     C = (C + C.conj().T) / 2.0
     S = (S + S.conj().T) / 2.0
-    if s[0] <= tol.tol_psd:
-        return Xi, C, S, None
+    if w[0] <= tol.tol_psd * max(w[-1], 1.0):
+        return C, S, None
     inv = (V * (1.0 / s)) @ V.conj().T
-    return Xi, C, S, [Z @ inv for Z in Zs]
+    return C, S, T @ inv
 
 
 def block_angle(Zs, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Matrix angle ``Xi = sqrt(sum_k Z_k^dag Z_k)`` of a block vector."""
-    Zs, _ = _as_blocks(Zs, who="block_angle")
-    Xi, _, _, _ = _angle_data(Zs, tol)
-    return Xi
+    T, _ = _as_blocks(Zs, who="block_angle")
+    w, V = _gram_eig(T)
+    Xi = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.conj().T
+    return (Xi + Xi.conj().T) / 2.0
 
 
 def normalize_blocks(Zs, tol: Tolerances = DEFAULT_TOL):
     """Right-normalized blocks ``Zt_k = Z_k @ inv(Xi)``.
 
     Satisfies ``sum_k Zt_k^dag Zt_k = I``.  Raises
-    :class:`SingularAngleError` when ``Xi`` has an eigenvalue at or below
-    ``tol.tol_psd``; in that regime only the exponential path is defined.
+    :class:`SingularAngleError` when ``Xi`` is singular (``Xi^2`` has an
+    eigenvalue at or below ``tol.tol_psd * max(||Xi^2||, 1)``); in that
+    regime only the exponential path is defined.
     """
-    Zs, _ = _as_blocks(Zs, who="normalize_blocks")
-    _, _, _, Zt = _angle_data(Zs, tol)
+    T, _ = _as_blocks(Zs, who="normalize_blocks")
+    _, _, Zt = _angle_data(T, tol)
     if Zt is None:
         raise SingularAngleError(
             "normalize_blocks: matrix angle is singular; use the exponential path"
         )
-    return Zt
+    return list(Zt)
 
 
 def build_Xj_block(Zs, n: int, j: int, m: int) -> np.ndarray:
@@ -136,22 +153,21 @@ def build_Xj_block(Zs, n: int, j: int, m: int) -> np.ndarray:
     """
     if not 2 <= j <= n:
         raise DimensionMismatchError(f"need 2 <= j <= n, got j={j}, n={n}")
-    Zs, m = _as_blocks(Zs, m, who="build_Xj_block")
-    if len(Zs) != j - 1:
+    T, m = _as_blocks(Zs, m, who="build_Xj_block")
+    if len(T) != j - 1:
         raise DimensionMismatchError(
-            f"build_Xj_block: expected {j - 1} blocks, got {len(Zs)}"
+            f"build_Xj_block: expected {j - 1} blocks, got {len(T)}"
         )
     X = np.zeros((n * m, n * m), dtype=complex)
     col = (j - 1) * m
-    for k, Z in enumerate(Zs):
-        row = k * m
-        X[row : row + m, col : col + m] = Z
-        X[col : col + m, row : row + m] = -Z.conj().T
+    Zh = T.reshape(col, m)
+    X[:col, col : col + m] = Zh
+    X[col : col + m, :col] = -Zh.conj().T
     return X
 
 
 def _is_zero(Zs):
-    return all(not Z.any() for Z in Zs)
+    return not np.any(Zs)
 
 
 def build_Vjnm(Zs, j: int, m: int, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -162,29 +178,30 @@ def build_Vjnm(Zs, j: int, m: int, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     all-zero block vector; raises :class:`SingularAngleError` for a nonzero
     vector with singular angle.
     """
-    Zs, m = _as_blocks(Zs, m, who="build_Vjnm")
-    if len(Zs) != j - 1:
+    T, m = _as_blocks(Zs, m, who="build_Vjnm")
+    if len(T) != j - 1:
         raise DimensionMismatchError(
-            f"build_Vjnm: expected {j - 1} blocks, got {len(Zs)}"
+            f"build_Vjnm: expected {j - 1} blocks, got {len(T)}"
         )
-    if _is_zero(Zs):
+    if _is_zero(T):
         return np.eye(j * m, dtype=complex)
-    _, C, S, Zt = _angle_data(Zs, tol)
+    C, S, Zt = _angle_data(T, tol)
     if Zt is None:
         raise SingularAngleError(
             "build_Vjnm: matrix angle is singular; use method='exp'"
         )
-    V = np.eye(j * m, dtype=complex)
-    ImC = np.eye(m, dtype=complex) - C
+    # Zh^dag enters as the stack of its m x m blocks: the batched products
+    # then round every block exactly as an m x m product does, which one
+    # wide product over Zh^dag does not (with NumPy's OpenBLAS, for m = 2, 3).
     last = (j - 1) * m
-    for k in range(j - 1):
-        rk = k * m
-        for ell in range(j - 1):
-            cl = ell * m
-            V[rk : rk + m, cl : cl + m] -= Zt[k] @ ImC @ Zt[ell].conj().T
-        V[rk : rk + m, last : last + m] = Zt[k] @ S
-        V[last : last + m, rk : rk + m] = -S @ Zt[k].conj().T
-    V[last : last + m, last : last + m] = C
+    Zh = Zt.reshape(last, m)
+    ZtH = Zt.conj().transpose(0, 2, 1)
+    V = np.empty((j * m, j * m), dtype=complex)
+    cols = (Zh @ (np.eye(m) - C)) @ ZtH
+    V[:last, :last] = np.eye(last) - cols.transpose(1, 0, 2).reshape(last, last)
+    V[:last, last:] = Zh @ S
+    V[last:, :last] = (-S @ ZtH).transpose(1, 0, 2).reshape(m, last)
+    V[last:, last:] = C
     return V
 
 
@@ -201,22 +218,22 @@ def build_Ajnm(
     """
     if not 2 <= j <= n:
         raise DimensionMismatchError(f"need 2 <= j <= n, got j={j}, n={n}")
-    if method not in ("closed", "exp", "auto"):
+    if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}")
-    Zs, m = _as_blocks(Zs, m, who="build_Ajnm")
-    if _is_zero(Zs):
-        if len(Zs) != j - 1:
+    T, m = _as_blocks(Zs, m, who="build_Ajnm")
+    if _is_zero(T):
+        if len(T) != j - 1:
             raise DimensionMismatchError(
-                f"build_Ajnm: expected {j - 1} blocks, got {len(Zs)}"
+                f"build_Ajnm: expected {j - 1} blocks, got {len(T)}"
             )
         return np.eye(n * m, dtype=complex)
     if method == "exp":
-        return expm_skew(build_Xj_block(Zs, n, j, m), tol)
+        return expm_skew(build_Xj_block(T, n, j, m), tol)
     try:
-        V = build_Vjnm(Zs, j, m, tol)
+        V = build_Vjnm(T, j, m, tol)
     except SingularAngleError:
         if method == "auto":
-            return expm_skew(build_Xj_block(Zs, n, j, m), tol)
+            return expm_skew(build_Xj_block(T, n, j, m), tol)
         raise
     A = np.eye(n * m, dtype=complex)
     A[: j * m, : j * m] = V
@@ -324,17 +341,13 @@ class BlockParams:
             )
         vecs = []
         for j, Zs in enumerate(self.blockvecs, start=2):
-            Zs, _ = _as_blocks(Zs, self.m, who=f"BlockParams: Z_{j}")
-            if len(Zs) != j - 1:
+            T, _ = _as_blocks(Zs, self.m, who=f"BlockParams: Z_{j}")
+            if len(T) != j - 1:
                 raise DimensionMismatchError(
-                    f"block vector for j={j} must have {j - 1} blocks, got {len(Zs)}"
+                    f"block vector for j={j} must have {j - 1} blocks, got {len(T)}"
                 )
-            frozen = []
-            for Z in Zs:
-                Z = np.array(Z)
-                Z.flags.writeable = False
-                frozen.append(Z)
-            vecs.append(tuple(frozen))
+            T.flags.writeable = False
+            vecs.append(tuple(T))
         object.__setattr__(self, "lambdas", lambdas)
         object.__setattr__(self, "local_unitaries", tuple(unitaries))
         object.__setattr__(self, "blockvecs", tuple(vecs))
@@ -348,13 +361,26 @@ def assemble_rho_block(
     The spectrum of the result equals ``p.lambdas`` as a multiset and the
     factorization metadata ``(n, m)`` is carried along.  With all block
     vectors zero the state is block diagonal with blocks ``Lambda_k``.
+    ``method`` picks each level's unitary as in :func:`build_Ajnm`; a
+    closed-form ``V_j`` multiplies only the top ``jm`` rows of the product.
     """
+    if method not in _METHODS:
+        raise ValueError(f"unknown method {method!r}")
     n, m = p.n, p.m
     core = build_core(p.lambdas, p.local_unitaries, n, m, tol)
     D = core.matrix()
     U = np.eye(n * m, dtype=complex)
-    for j in range(2, n + 1):
-        U = build_Ajnm(p.blockvecs[j - 2], n, j, m, method, tol) @ U
+    for j, Zs in enumerate(p.blockvecs, start=2):
+        if _is_zero(Zs):
+            continue
+        if method != "exp":
+            try:
+                U[: j * m] = build_Vjnm(Zs, j, m, tol) @ U[: j * m]
+                continue
+            except SingularAngleError:
+                if method == "closed":
+                    raise
+        U = build_Ajnm(Zs, n, j, m, method, tol) @ U
     rho = U @ D @ U.conj().T
     rho = (rho + rho.conj().T) / 2.0
     return DensityMatrix(n, m, rho, tol)

@@ -370,7 +370,10 @@ def cmd_sweep(args, tol) -> int:
     ]
     grids = np.meshgrid(*[vals for _, vals in axes], indexing="ij")
     coords = np.stack([g.reshape(-1) for g in grids], axis=-1)
-    fh = open(args.output, "w", newline="", encoding="utf-8")
+    try:
+        fh = open(args.output, "w", newline="", encoding="utf-8")
+    except OSError as exc:
+        raise ParamFileError(f"cannot write {args.output}: {exc}") from exc
     try:
         with fh:
             writer = csv.writer(fh)

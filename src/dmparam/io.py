@@ -214,8 +214,11 @@ def write_matrix(path, mat, fmt: str = "json", n=None, m=None):
         text = "\n".join(" ".join(_fmt_complex(z) for z in row) for row in mat)
     else:
         raise ParamFileError(f"unknown output format {fmt!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    except OSError as exc:
+        raise ParamFileError(f"cannot write {path}: {exc}") from exc
 
 
 def read_matrix(path):

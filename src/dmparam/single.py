@@ -15,8 +15,15 @@ corner and as the identity elsewhere.  ``V_j`` has the closed form
 
 with ``t = ||z_j||`` and ``zh = z_j / t``; it equals the top-left block of
 ``exp(X_j)`` exactly (the sign and conjugation conventions here are fixed by
-that identity).  For ``n = 2`` and ``z_2 = t e^{i phi}`` the assembled state
-is
+that identity).  ``V_j`` is the identity plus a rank-2 correction, so the
+chain never forms it: with ``w = zh^dag U[:j-1]`` and ``r = U[j-1]`` it
+updates the top ``j`` rows of the running product ``U`` as
+
+    U[:j-1] -= zh ((1 - cos t) w - sin t r),    U[j-1] = cos t r - sin t w,
+
+which is O(jn) per level and O(n^3) for the whole chain.
+
+For ``n = 2`` and ``z_2 = t e^{i phi}`` the assembled state is
 
     [[ c^2 l1 + s^2 l2,            s c e^{i phi} (l2 - l1) ],
      [ s c e^{-i phi} (l2 - l1),   c^2 l2 + s^2 l1         ]],
@@ -119,6 +126,14 @@ def build_Xj_single(z, n: int, j: int) -> np.ndarray:
     return X
 
 
+def _rotation(z):
+    """``(zh, cos t, sin t)`` with ``t = ||z||`` and ``zh = z / t``; ``None`` for ``t = 0``."""
+    theta = float(np.linalg.norm(z))
+    if theta == 0.0:
+        return None
+    return z / theta, np.cos(theta), np.sin(theta)
+
+
 def build_Vjn(z, j: int, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Closed form of the ``j x j`` unitary generated by ``z``.
 
@@ -132,12 +147,10 @@ def build_Vjn(z, j: int, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
             f"build_Vjn: z must have length j-1 = {j - 1}, got {z.shape[0]}"
         )
     V = np.eye(j, dtype=complex)
-    theta = float(np.linalg.norm(z))
-    if theta == 0.0:
+    rotation = _rotation(z)
+    if rotation is None:
         return V
-    zh = z / theta
-    c = np.cos(theta)
-    s = np.sin(theta)
+    zh, c, s = rotation
     V[: j - 1, : j - 1] -= (1.0 - c) * np.outer(zh, zh.conj())
     V[: j - 1, j - 1] = s * zh
     V[j - 1, : j - 1] = -s * zh.conj()
@@ -149,14 +162,20 @@ def assemble_rho_single(p: SingleParams, tol: Tolerances = DEFAULT_TOL) -> Densi
     """Assemble ``rho = A_n ... A_2 diag(lambdas) A_2^dag ... A_n^dag``.
 
     The spectrum of the result equals ``p.lambdas`` as a multiset (the
-    conjugation is unitary) and the trace is one.
+    conjugation is unitary) and the trace is one.  Each ``V_j`` acts on the
+    running product as a rank-2 update of its top ``j`` rows, O(jn) work.
     """
     n = p.n
     U = np.eye(n, dtype=complex)
-    for j in range(2, n + 1):
-        A = np.eye(n, dtype=complex)
-        A[:j, :j] = build_Vjn(p.zvecs[j - 2], j, tol)
-        U = A @ U
+    for j, z in enumerate(p.zvecs, start=2):
+        rotation = _rotation(z)
+        if rotation is None:
+            continue
+        zh, c, s = rotation
+        w = zh.conj() @ U[: j - 1]
+        r = U[j - 1]
+        U[: j - 1] -= np.outer(zh, (1.0 - c) * w - s * r)
+        U[j - 1] = c * r - s * w
     rho = (U * p.lambdas) @ U.conj().T
     return DensityMatrix(n, 1, rho, tol)
 

@@ -1,0 +1,143 @@
+"""The structured chain: each level touches only the rows its factor acts on.
+
+The oracles are the forms the chain no longer builds: the exponential of the
+full generator, ``V_j`` filled block by block, and the product of embedded
+``n x n`` factors.
+"""
+
+import numpy as np
+import pytest
+
+from dmparam import (
+    BlockParams,
+    SingleParams,
+    assemble_rho_block,
+    assemble_rho_single,
+    build_Vjn,
+    build_Vjnm,
+    build_Xj_block,
+    expm_skew,
+)
+from dmparam._random import rand_block_params, rand_complex, rand_single_params
+from dmparam.blocks import _angle_data
+from dmparam.linalg import DEFAULT_TOL
+
+
+@pytest.mark.parametrize("j,m", [(16, 4), (32, 2)])
+def test_block_closed_form_is_top_left_of_exponential(j, m):
+    rng = np.random.default_rng(40 + j)
+    Zs = [rand_complex(rng, (m, m)) for _ in range(j - 1)]
+    V = build_Vjnm(Zs, j, m)
+    E = expm_skew(build_Xj_block(Zs, j, j, m))
+    assert np.linalg.norm(V - E) <= 1e-10
+
+
+def _blockwise_Vjnm(Zs, j, m):
+    """``V_j`` filled one ``m x m`` block at a time, from the same angle data."""
+    C, S, Zt = _angle_data(np.stack(Zs), DEFAULT_TOL)
+    V = np.eye(j * m, dtype=complex)
+    ImC = np.eye(m, dtype=complex) - C
+    last = (j - 1) * m
+    for k in range(j - 1):
+        rows = slice(k * m, (k + 1) * m)
+        for ell in range(j - 1):
+            V[rows, ell * m : (ell + 1) * m] -= Zt[k] @ ImC @ Zt[ell].conj().T
+        V[rows, last:] = Zt[k] @ S
+        V[last:, rows] = -S @ Zt[k].conj().T
+    V[last:, last:] = C
+    return V
+
+
+@pytest.mark.parametrize("j,m", [(4, 1), (3, 2), (32, 2), (5, 3), (8, 4), (3, 8)])
+def test_block_closed_form_equals_blockwise_fill(j, m):
+    # the stacked products round every block as the m x m products do
+    rng = np.random.default_rng(30 + j + m)
+    Zs = [rand_complex(rng, (m, m)) for _ in range(j - 1)]
+    assert np.array_equal(build_Vjnm(Zs, j, m), _blockwise_Vjnm(Zs, j, m))
+
+
+@pytest.mark.parametrize("n,m", [(16, 4), (32, 2)])
+def test_block_auto_matches_exp(n, m):
+    p = rand_block_params(np.random.default_rng(50 + n), n, m)
+    auto = assemble_rho_block(p)
+    exact = assemble_rho_block(p, method="exp")
+    assert np.max(np.abs(auto.mat - exact.mat)) <= 1e-9
+
+
+def _dense_single(p):
+    U = np.eye(p.n, dtype=complex)
+    for j, z in enumerate(p.zvecs, start=2):
+        A = np.eye(p.n, dtype=complex)
+        A[:j, :j] = build_Vjn(z, j)
+        U = A @ U
+    return (U * p.lambdas) @ U.conj().T
+
+
+def test_single_chain_matches_dense_factors():
+    p = rand_single_params(np.random.default_rng(60), 100)
+    assert np.max(np.abs(assemble_rho_single(p).mat - _dense_single(p))) <= 1e-12
+
+
+def test_single_chain_with_zero_levels():
+    p = rand_single_params(np.random.default_rng(61), 100)
+    zvecs = tuple(
+        np.zeros(j - 1) if j % 3 == 0 or j == 2 or j == 100 else z
+        for j, z in enumerate(p.zvecs, start=2)
+    )
+    q = SingleParams(100, p.lambdas, zvecs)
+    assert np.max(np.abs(assemble_rho_single(q).mat - _dense_single(q))) <= 1e-12
+
+
+@pytest.mark.parametrize("theta,phi", [(0.9, 0.7), (-0.4, 2.5), (4.0, -1.2)])
+def test_qubit_bloch_form(theta, phi):
+    lam = np.array([0.8, 0.2])
+    for sign in (1.0, -1.0):
+        z = sign * theta * np.exp(1j * phi)
+        rho = assemble_rho_single(SingleParams(2, lam, (np.array([z]),))).mat
+        c, s = np.cos(theta), np.sin(theta)
+        off = sign * s * c * np.exp(1j * phi) * (lam[1] - lam[0])
+        expected = np.array([
+            [c**2 * lam[0] + s**2 * lam[1], off],
+            [np.conj(off), c**2 * lam[1] + s**2 * lam[0]],
+        ])
+        assert np.max(np.abs(rho - expected)) <= 1e-14
+
+
+def test_params_arrays_are_not_written():
+    rng = np.random.default_rng(70)
+    ps = rand_single_params(rng, 12)
+    pb = rand_block_params(rng, 5, 3)
+    single_before = [z.copy() for z in ps.zvecs]
+    block_before = [[Z.copy() for Z in Zs] for Zs in pb.blockvecs]
+    lambdas_before = (ps.lambdas.copy(), pb.lambdas.copy())
+    assemble_rho_single(ps)
+    for method in ("auto", "closed", "exp"):
+        assemble_rho_block(pb, method=method)
+    for z, z0 in zip(ps.zvecs, single_before):
+        assert not z.flags.writeable and np.array_equal(z, z0)
+    for Zs, Zs0 in zip(pb.blockvecs, block_before):
+        for Z, Z0 in zip(Zs, Zs0):
+            assert not Z.flags.writeable and np.array_equal(Z, Z0)
+    assert np.array_equal(ps.lambdas, lambdas_before[0])
+    assert np.array_equal(pb.lambdas, lambdas_before[1])
+
+
+def _common_kernel_params(seed):
+    """8 (x) 4 parameters whose top-level blocks share one kernel vector off
+    the basis: the Gram eigenvalue there is rounding-level, not zero."""
+    rng = np.random.default_rng(seed)
+    p = rand_block_params(rng, 8, 4)
+    v = rand_complex(rng, 4)
+    v /= np.linalg.norm(v)
+    proj = np.eye(4) - np.outer(v, v.conj())
+    top = tuple(Z @ proj for Z in p.blockvecs[-1])
+    return BlockParams(8, 4, p.lambdas, p.local_unitaries, p.blockvecs[:-1] + (top,))
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_auto_takes_exp_on_near_singular_angle(seed):
+    # assemble_rho_block raises if the state fails the DensityMatrix gate
+    p = _common_kernel_params(seed)
+    auto = assemble_rho_block(p)
+    exact = assemble_rho_block(p, method="exp")
+    assert np.max(np.abs(auto.mat - exact.mat)) <= 1e-12
