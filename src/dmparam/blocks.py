@@ -35,6 +35,7 @@ applies each ``V_j`` as a rank-2 update of the top ``j`` rows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,7 @@ from .errors import (
     BadNormalizationError,
     DimensionMismatchError,
     NotPsdError,
+    OutOfRangeError,
     SingularAngleError,
 )
 from .linalg import DEFAULT_TOL, TRACE_TOL, Tolerances, _require_unitary, expm_skew
@@ -62,6 +64,9 @@ __all__ = [
 ]
 
 _METHODS = ("closed", "exp", "auto")
+
+#: Largest Gram trace whose symmetrization ``G + G^dag`` stays finite.
+_GRAM_MAX = np.finfo(float).max / 2.0
 
 
 def _as_blocks(Zs, m=None, who="block vector"):
@@ -84,10 +89,21 @@ def _as_blocks(Zs, m=None, who="block vector"):
                 f"{who}: block {k} has size {Z.shape[0]}, expected {m}"
             )
     T = np.stack(out)
-    finite = np.isfinite(T).all(axis=(1, 2))
-    if not finite.all():
-        k = int(np.argmin(finite))
+    x = T.view(float)
+    big = float(np.abs(x).max())  # NaN when any entry is NaN
+    if not math.isfinite(big):
+        k = int(np.argmin(np.isfinite(T).all(axis=(1, 2))))
         raise DimensionMismatchError(f"{who}: block {k} has non-finite entries")
+    # No entry of the Gram matrix G = sum_k Z_k^dag Z_k exceeds its trace,
+    # the sum of |z|^2 over all entries, so G and G + G^dag stay finite while
+    # the trace is at most _GRAM_MAX.  The trace is summed over entries
+    # scaled by the largest, and only when size * largest^2 could exceed it.
+    if (big * big * x.size > _GRAM_MAX
+            and float(np.sum(np.square(x / big))) > _GRAM_MAX / big / big):
+        raise OutOfRangeError(
+            f"{who}: its Gram matrix sum_k Z_k^dag Z_k overflows "
+            f"(largest entry {big:.3e})"
+        )
     return T, m
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -32,6 +33,7 @@ from .entanglement import (
     PptReport,
     detect_structure,
     ppt_check,
+    pt_spectrum,
 )
 from .errors import (
     ConvergenceFailureError,
@@ -54,7 +56,7 @@ from .families import (
 from .io import ParamFileError, fmt_float, load_param_file, read_matrix, write_matrix
 from .linalg import DEFAULT_TOL, TRACE_TOL, Tolerances, polar
 from .single import SingleParams, assemble_rho_single
-from .states import DensityMatrix
+from .states import DensityMatrix, check_states
 from .validate import run_validation, serialize_counterexample
 
 __all__ = ["main", "StateReport"]
@@ -310,6 +312,9 @@ def cmd_reproduce(args, tol) -> int:
 
 # -- sweep ------------------------------------------------------------------
 
+#: Grid points per stack: a sweep's memory follows this, not the grid size.
+_SWEEP_CHUNK = 256
+
 
 def _parse_grid(spec):
     try:
@@ -320,20 +325,68 @@ def _parse_grid(spec):
         raise ParamFileError(f"bad grid spec {spec!r}: expected name=lo:hi:count") from exc
     if count < 1:
         raise ParamFileError(f"bad grid spec {spec!r}: count must be >= 1")
-    return name, np.linspace(lo, hi, count)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ParamFileError(f"bad grid spec {spec!r}: bounds must be finite")
+    return name, lo, hi, count
 
 
 def _parse_fixed(items, family):
-    """``--set key=value`` items; a ``reals`` parameter takes a comma-separated list."""
-    fixed = {}
+    """``--set key=value`` items as ``(key, value)`` pairs; a ``reals``
+    parameter takes a comma-separated list."""
+    fixed = []
     for item in items:
         try:
             key, value = item.split("=", 1)
             reals = family.params.get(key) == "reals"
-            fixed[key] = [float(v) for v in value.split(",")] if reals else float(value)
+            value = [float(v) for v in value.split(",")] if reals else float(value)
         except ValueError as exc:
             raise ParamFileError(f"bad --set {item!r}: expected key=number(s)") from exc
+        if not np.all(np.isfinite(value)):
+            raise ParamFileError(f"bad --set {item!r}: values must be finite")
+        fixed.append((key, value))
     return fixed
+
+
+def _axis_values(lo, hi, count, idx):
+    """``np.linspace(lo, hi, count)[idx]`` for an index or index array,
+    computed with linspace's own operations so that the values are equal."""
+    y = np.asarray(idx, dtype=float)
+    div = count - 1
+    if div == 0:
+        return y * (hi - lo) + lo
+    step = (hi - lo) / div
+    y = y / div * (hi - lo) if step == 0 else y * step
+    return np.where(idx == div, hi, y + lo)
+
+
+def _raise_at(family, point_at, row, tol):
+    family.build(*(point_at(row)[k] for k in family.params), tol)
+    raise RuntimeError(f"sweep: grid row {row} fails a batched check but not its constructor")
+
+
+def _sweep_chunk(family, point_at, rows, tol):
+    """Arguments and smallest partial-transpose eigenvalue at grid ``rows``.
+
+    ``point_at(rows)`` maps the rows to the family's arguments, stacked (and
+    one row to plain values).  The chunk is built with the family's array
+    formula, range-checked and gated as one stack.  At the first row in
+    order that fails, the family's constructor is called on that row alone
+    and raises what it raises for that point.
+    """
+    point = point_at(rows)
+    values = [point[k] for k in family.params]
+    if family.domain is not None:
+        inside = np.broadcast_to(family.domain(*values), rows.shape)
+        if not inside.all():
+            first = int(np.argmin(inside))
+            if first:
+                _sweep_chunk(family, point_at, rows[:first], tol)
+            _raise_at(family, point_at, rows[first], tol)
+    mats = family.mats(*values)
+    _, failure = check_states(mats, tol)
+    if failure is not None:
+        _raise_at(family, point_at, rows[failure[0]], tol)
+    return point, pt_spectrum(mats, dims=(2, 2))[:, 0]
 
 
 def cmd_sweep(args, tol) -> int:
@@ -350,7 +403,13 @@ def cmd_sweep(args, tol) -> int:
         return EXIT_INPUT
     axes = [_parse_grid(spec) for spec in args.grid]
     fixed = _parse_fixed(args.set, family)
-    for name, _ in axes:
+    names = [name for name, *_ in axes]
+    given = names + [key for key, _ in fixed]
+    twice = sorted({k for k in given if given.count(k) > 1})
+    if twice:
+        raise ParamFileError(f"sweep: {twice[0]!r} is given more than once by --grid/--set")
+    fixed = dict(fixed)
+    for name in names:
         if name not in family.axes:
             raise ParamFileError(
                 f"axis {name!r} is not a parameter of {args.family!r}; "
@@ -360,16 +419,26 @@ def cmd_sweep(args, tol) -> int:
     unknown = sorted(set(fixed) - settable)
     if unknown:
         raise ParamFileError(f"--set {unknown}: {args.family!r} takes only {sorted(settable)}")
-    given = set(fixed) | {name for name, _ in axes} | set(family.derive)
-    missing = [k for k in family.params if k not in given]
+    have = set(given) | set(family.derive)
+    missing = [k for k in family.params if k not in have]
     if missing:
         raise ParamFileError(f"sweep {args.family!r}: parameters {missing} need --grid or --set")
 
-    header = [name for name, _ in axes] + [
-        "min_pt_eig", "analytic_margin", "analytic_ppt", "numeric_ppt", "agreement",
-    ]
-    grids = np.meshgrid(*[vals for _, vals in axes], indexing="ij")
-    coords = np.stack([g.reshape(-1) for g in grids], axis=-1)
+    counts = [count for *_, count in axes]
+
+    def point_at(rows):
+        """Fixed, axis and derived values at grid rows (row-major); plain
+        floats for a single row."""
+        point = dict(fixed)
+        for (name, lo, hi, count), i in zip(axes, np.unravel_index(rows, counts)):
+            x = _axis_values(lo, hi, count, i)
+            point[name] = x if np.ndim(rows) else float(x)
+        for key, derive in family.derive.items():
+            point[key] = derive(point)
+        return point
+
+    header = names + ["min_pt_eig", "analytic_margin", "analytic_ppt", "numeric_ppt", "agreement"]
+    total = math.prod(counts)
     try:
         fh = open(args.output, "w", newline="", encoding="utf-8")
     except OSError as exc:
@@ -378,27 +447,26 @@ def cmd_sweep(args, tol) -> int:
         with fh:
             writer = csv.writer(fh)
             writer.writerow(header)
-            for coord in coords:
-                point = dict(fixed)
-                point.update({name: float(v) for (name, _), v in zip(axes, coord)})
-                for key, derive in family.derive.items():
-                    point[key] = derive(point)
-                values = [point[k] for k in family.params]
-                numeric = ppt_check(family.build(*values, tol), tol)
-                margin = family.margin(*values)
-                analytic_ppt = margin >= 0.0
-                if abs(margin) < BOUNDARY_BAND:
-                    agreement = "boundary"
-                else:
-                    agreement = "true" if analytic_ppt == numeric.is_ppt else "false"
-                writer.writerow([fmt_float(v) for v in coord] + [
-                    fmt_float(numeric.min_pt_eig), fmt_float(margin),
-                    str(analytic_ppt).lower(), str(numeric.is_ppt).lower(), agreement,
-                ])
+            for start in range(0, total, _SWEEP_CHUNK):
+                rows = np.arange(start, min(start + _SWEEP_CHUNK, total))
+                point, min_pt = _sweep_chunk(family, point_at, rows, tol)
+                margin = family.margin(*(point[k] for k in family.params))
+                margin = np.broadcast_to(margin, rows.shape)
+                analytic = margin >= 0.0
+                numeric = min_pt >= -tol.tol_psd
+                agreement = np.where(np.abs(margin) < BOUNDARY_BAND, "boundary",
+                                     np.where(analytic == numeric, "true", "false"))
+                numbers = [point[name] for name in names] + [min_pt, margin]
+                writer.writerows(zip(
+                    *(map(fmt_float, col.tolist()) for col in numbers),
+                    np.where(analytic, "true", "false").tolist(),
+                    np.where(numeric, "true", "false").tolist(),
+                    agreement.tolist(),
+                ))
     except BaseException:
         os.remove(args.output)  # leave no truncated CSV behind
         raise
-    print(f"wrote {len(coords)} rows to {args.output}")
+    print(f"wrote {total} rows to {args.output}")
     return EXIT_OK
 
 

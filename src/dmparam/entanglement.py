@@ -29,6 +29,7 @@ from .states import DensityMatrix
 __all__ = [
     "PptReport",
     "partial_transpose",
+    "pt_spectrum",
     "ppt_check",
     "circulant_ppt_margins",
     "circulant_conditions",
@@ -51,7 +52,7 @@ def _unpack(rho, dims):
             "plain matrices need explicit dims=(n, m) for a partial transpose"
         )
     n, m = dims
-    if mat.shape != (n * m, n * m):
+    if mat.shape[-2:] != (n * m, n * m):
         raise MissingFactorizationError(
             f"matrix of shape {mat.shape} does not match dims {dims}"
         )
@@ -64,23 +65,38 @@ def partial_transpose(rho, subsystem: str = "second", dims=None) -> np.ndarray:
     Parameters
     ----------
     rho : DensityMatrix or array_like
-        For a plain array the factorization must be supplied via ``dims``.
+        For a plain array the factorization must be supplied via ``dims``;
+        leading axes of a ``(..., nm, nm)`` stack are batch axes.
     subsystem : {"second", "first"}
 
     Returns
     -------
     numpy.ndarray
-        The partially transposed matrix (Hermitian whenever the input is).
+        The partially transposed matrix, or stack (Hermitian whenever the
+        input is).
     """
     mat, n, m = _unpack(rho, dims)
-    R = mat.reshape(n, m, n, m)
+    batch = mat.shape[:-2]
+    R = mat.reshape(batch + (n, m, n, m))
     if subsystem == "second":
-        R = R.transpose(0, 3, 2, 1)
+        factors = (0, 3, 2, 1)
     elif subsystem == "first":
-        R = R.transpose(2, 1, 0, 3)
+        factors = (2, 1, 0, 3)
     else:
         raise ValueError(f"subsystem must be 'first' or 'second', got {subsystem!r}")
-    return np.ascontiguousarray(R).reshape(n * m, n * m)
+    b = len(batch)
+    R = R.transpose(tuple(range(b)) + tuple(b + k for k in factors))
+    return np.ascontiguousarray(R).reshape(mat.shape)
+
+
+def pt_spectrum(rho, subsystem: str = "second", dims=None) -> np.ndarray:
+    """Ascending eigenvalues of the symmetrized partial transpose.
+
+    Accepts the same inputs as :func:`partial_transpose`, stacks included;
+    one ``eigvalsh`` covers the whole stack.
+    """
+    pt = partial_transpose(rho, subsystem, dims)
+    return np.linalg.eigvalsh((pt + pt.conj().swapaxes(-1, -2)) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -100,15 +116,18 @@ def ppt_check(
     Boundary states (minimal eigenvalue in ``[-tol.tol_psd, 0]``) resolve to
     ``is_ppt = True``, reproducing closed separability boundaries.
     """
-    pt = partial_transpose(rho, subsystem, dims)
-    pt = (pt + pt.conj().T) / 2.0
-    min_eig = float(np.linalg.eigvalsh(pt)[0])
+    min_eig = float(pt_spectrum(rho, subsystem, dims)[0])
     return PptReport(is_ppt=min_eig >= -tol.tol_psd, min_pt_eig=min_eig, subsystem=subsystem)
+
+
+def _angle_ok(x):
+    """Elementwise: ``x`` lies in ``[0, pi/2]`` up to 1e-12."""
+    return (-1e-12 <= x) & (x <= np.pi / 2 + 1e-12)
 
 
 def _check_angles(alpha, beta):
     for name, value in (("alpha", alpha), ("beta", beta)):
-        if not -1e-12 <= value <= np.pi / 2 + 1e-12:
+        if not _angle_ok(value):
             raise AngleOutOfRangeError(
                 f"{name} = {value!r} outside [0, pi/2]"
             )
@@ -130,12 +149,26 @@ def circulant_ppt_margins(p, alpha: float, beta: float):
     """
     p = _check_simplex(p, 4, False, "circulant_ppt_margins")
     _check_angles(alpha, beta)
-    p1, p2, p3, p4 = p
+    m1, m2 = _circulant_margins(p, alpha, beta)
+    return float(m1), float(m2)
+
+
+def _circulant_margins(p, alpha, beta):
+    """The two margins of :func:`circulant_ppt_margins`, elementwise over
+    ``p`` stacked as ``(..., 4)`` and broadcast angles, without range checks.
+
+    ``np.float_power`` squares through libm ``pow``, like ``**`` on a NumPy
+    scalar; ``**`` on an array squares by multiplication, which can round
+    differently, so this spelling keeps a stack and a single point equal.
+    """
+    p = np.asarray(p, dtype=float)
+    p1, p2, p3, p4 = p[..., 0], p[..., 1], p[..., 2], p[..., 3]
     sa, ca = np.sin(alpha), np.cos(alpha)
     sb, cb = np.sin(beta), np.cos(beta)
-    ta = (p3 - p4) ** 2 * sa**2 * ca**2
-    tb = (p1 - p2) ** 2 * sb**2 * cb**2
-    return float(p3 * p4 + ta - tb), float(p1 * p2 + tb - ta)
+    sq = np.float_power
+    ta = sq(p3 - p4, 2) * sq(sa, 2) * sq(ca, 2)
+    tb = sq(p1 - p2, 2) * sq(sb, 2) * sq(cb, 2)
+    return p3 * p4 + ta - tb, p1 * p2 + tb - ta
 
 
 def circulant_conditions(p, alpha: float, beta: float) -> bool:

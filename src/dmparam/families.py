@@ -4,6 +4,15 @@ Every constructor returns a validated :class:`DensityMatrix` and is paired,
 in the test suite, with the generic block assembly on the corresponding
 parameters; the two routes agree entrywise.
 
+The five 2 (x) 2 families that ``dmparam sweep`` scans keep their matrix in
+one array formula (``_pure_P_mats``, ``_isotropic_mats``, ...): it maps
+parameters stacked over leading axes to a ``(..., 4, 4)`` stack, and the
+scalar constructor checks its arguments and calls it on a single point.
+``FAMILIES`` holds each formula with its vectorized range checks and
+analytic PPT margin, so a sweep builds, gates and partially transposes a
+whole chunk of grid points at once and gets the same bits as the
+constructor at every point.
+
 Conventions fixed here once and for all: ``sigma_z = diag(1, -1)``,
 ``sigma_x = [[0, 1], [1, 0]]``, and the 2 (x) 2 basis is ordered
 ``|00>, |01>, |10>, |11>`` so that printed matrices can be compared entry
@@ -18,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .blocks import build_Ajnm
-from .entanglement import _check_angles, circulant_ppt_margins
+from .entanglement import _angle_ok, _check_angles, _circulant_margins
 from .errors import (
     BadNormalizationError,
     ConditionViolatedError,
@@ -30,7 +39,7 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL, TRACE_TOL, Tolerances, _require_hermitian, _require_unitary, matfun_psd
 )
-from .single import _check_simplex
+from .single import _check_simplex, _on_simplex
 from .states import DensityMatrix
 
 __all__ = [
@@ -68,6 +77,15 @@ def _require_psd(M, tol, who):
     return M
 
 
+def _pure_P_mats(alpha):
+    s, c = np.sin(alpha), np.cos(alpha)
+    rho = np.zeros(np.shape(s) + (4, 4), dtype=complex)
+    rho[..., 0, 0] = s * s
+    rho[..., 3, 3] = c * c
+    rho[..., 0, 3] = rho[..., 3, 0] = s * c
+    return rho
+
+
 def pure_P(alpha: float, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
     """Rank-1 projector onto ``sin(a)|00> + cos(a)|11>``.
 
@@ -75,12 +93,19 @@ def pure_P(alpha: float, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
     of its partial transpose is ``-sin(a) cos(a)``, so ``a = pi/4`` is the
     maximally entangled point.
     """
-    s, c = np.sin(alpha), np.cos(alpha)
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = s * s
-    rho[3, 3] = c * c
-    rho[0, 3] = rho[3, 0] = s * c
-    return DensityMatrix(2, 2, rho, tol)
+    return DensityMatrix(2, 2, _pure_P_mats(alpha), tol)
+
+
+def _isotropic_in_range(p):
+    return (-1.0 / 3.0 - 1e-12 <= p) & (p <= 1.0 + 1e-12)
+
+
+def _isotropic_mats(p):
+    rho = np.zeros(np.shape(p) + (4, 4), dtype=complex)
+    rho[..., 0, 0] = rho[..., 3, 3] = (1.0 + p) / 4.0
+    rho[..., 1, 1] = rho[..., 2, 2] = (1.0 - p) / 4.0
+    rho[..., 0, 3] = rho[..., 3, 0] = p / 2.0
+    return rho
 
 
 def isotropic(p: float, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
@@ -88,11 +113,21 @@ def isotropic(p: float, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
 
     The partial-transpose spectrum is ``{(1 + p)/4 (x3), (1 - 3p)/4}``.
     """
-    if not -1.0 / 3.0 - 1e-12 <= p <= 1.0 + 1e-12:
+    if not _isotropic_in_range(p):
         raise OutOfRangeError(f"isotropic: p = {p!r} outside [-1/3, 1]")
-    rho = np.diag([1.0 + p, 1.0 - p, 1.0 - p, 1.0 + p]).astype(complex) / 4.0
-    rho[0, 3] = rho[3, 0] = p / 2.0
-    return DensityMatrix(2, 2, rho, tol)
+    return DensityMatrix(2, 2, _isotropic_mats(p), tol)
+
+
+def _isotropic_alpha_mats(p, alpha):
+    s, c = np.sin(alpha), np.cos(alpha)
+    base = (1.0 - p) / 4.0
+    off = p * s * c
+    rho = np.zeros(np.shape(off) + (4, 4), dtype=complex)
+    rho[..., 0, 0] = base + p * s * s
+    rho[..., 1, 1] = rho[..., 2, 2] = base
+    rho[..., 3, 3] = base + p * c * c
+    rho[..., 0, 3] = rho[..., 3, 0] = off
+    return rho
 
 
 def isotropic_alpha(p: float, alpha: float, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
@@ -101,17 +136,32 @@ def isotropic_alpha(p: float, alpha: float, tol: Tolerances = DEFAULT_TOL) -> De
     Positivity is validated after construction; for ``p >= 0`` the state is
     PPT iff ``p <= sep_threshold(alpha)``.
     """
-    s, c = np.sin(alpha), np.cos(alpha)
-    rho = np.eye(4, dtype=complex) * (1.0 - p) / 4.0
-    rho[0, 0] += p * s * s
-    rho[3, 3] += p * c * c
-    rho[0, 3] = rho[3, 0] = p * s * c
-    return DensityMatrix(2, 2, rho, tol)
+    return DensityMatrix(2, 2, _isotropic_alpha_mats(p, alpha), tol)
 
 
 def sep_threshold(alpha: float) -> float:
     """PPT boundary of :func:`isotropic_alpha` in ``p``: ``1 / (1 + 2 sin 2a)``."""
     return 1.0 / (1.0 + 2.0 * np.sin(2.0 * alpha))
+
+
+def _circulant_mats(p, alpha, beta):
+    # np.float_power squares the way ``**`` squares a NumPy scalar (see
+    # entanglement._circulant_margins), so a stack matches single points.
+    p = np.asarray(p, dtype=float)
+    p1, p2, p3, p4 = p[..., 0], p[..., 1], p[..., 2], p[..., 3]
+    sa, ca = np.sin(alpha), np.cos(alpha)
+    sb, cb = np.sin(beta), np.cos(beta)
+    sa2, ca2, sb2, cb2 = (np.float_power(x, 2) for x in (sa, ca, sb, cb))
+    top = p1 * sb2 + p2 * cb2
+    middle = p3 * sa2 + p4 * ca2
+    rho = np.zeros(np.broadcast(top, middle).shape + (4, 4), dtype=complex)
+    rho[..., 0, 0] = top
+    rho[..., 1, 1] = middle
+    rho[..., 2, 2] = p3 * ca2 + p4 * sa2
+    rho[..., 3, 3] = p1 * cb2 + p2 * sb2
+    rho[..., 0, 3] = rho[..., 3, 0] = (p1 - p2) * sb * cb
+    rho[..., 1, 2] = rho[..., 2, 1] = (p3 - p4) * sa * ca
+    return rho
 
 
 def circulant_rho(p, alpha: float, beta: float, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
@@ -133,29 +183,24 @@ def circulant_rho(p, alpha: float, beta: float, tol: Tolerances = DEFAULT_TOL) -
     """
     p = _check_simplex(p, 4, False, "circulant_rho")
     _check_angles(alpha, beta)
-    p1, p2, p3, p4 = p
-    sa, ca = np.sin(alpha), np.cos(alpha)
-    sb, cb = np.sin(beta), np.cos(beta)
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = p1 * sb**2 + p2 * cb**2
-    rho[1, 1] = p3 * sa**2 + p4 * ca**2
-    rho[2, 2] = p3 * ca**2 + p4 * sa**2
-    rho[3, 3] = p1 * cb**2 + p2 * sb**2
-    rho[0, 3] = rho[3, 0] = (p1 - p2) * sb * cb
-    rho[1, 2] = rho[2, 1] = (p3 - p4) * sa * ca
-    return DensityMatrix(2, 2, rho, tol)
+    return DensityMatrix(2, 2, _circulant_mats(p, alpha, beta), tol)
+
+
+def _bell_diagonal_mats(p):
+    p = np.asarray(p, dtype=float)
+    p1, p2, p3, p4 = p[..., 0], p[..., 1], p[..., 2], p[..., 3]
+    rho = np.zeros(np.shape(p1) + (4, 4), dtype=complex)
+    rho[..., 0, 0] = rho[..., 3, 3] = (p1 + p2) / 2.0
+    rho[..., 1, 1] = rho[..., 2, 2] = (p3 + p4) / 2.0
+    rho[..., 0, 3] = rho[..., 3, 0] = (p1 - p2) / 2.0
+    rho[..., 1, 2] = rho[..., 2, 1] = (p3 - p4) / 2.0
+    return rho
 
 
 def bell_diagonal(p, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
     """Mixture of the four Bell projectors with weights ``p``; PPT iff ``max p_k <= 1/2``."""
     p = _check_simplex(p, 4, False, "bell_diagonal")
-    p1, p2, p3, p4 = p
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = rho[3, 3] = (p1 + p2) / 2.0
-    rho[1, 1] = rho[2, 2] = (p3 + p4) / 2.0
-    rho[0, 3] = rho[3, 0] = (p1 - p2) / 2.0
-    rho[1, 2] = rho[2, 1] = (p3 - p4) / 2.0
-    return DensityMatrix(2, 2, rho, tol)
+    return DensityMatrix(2, 2, _bell_diagonal_mats(p), tol)
 
 
 def _two_by_m_blocks(U, L1, L2, C, S):
@@ -342,9 +387,20 @@ class Family:
 
     ``params`` lists the constructor's arguments in positional order, each
     mapped to ``int``, ``real``, ``reals``, ``matrix`` or ``matrices``.
-    Families that ``dmparam sweep`` scans add their grid ``axes``, the
-    analytic PPT ``margin`` of the constructor arguments (its sign is the
-    verdict) and, where a parameter is computed from the axes, ``derive``.
+    Families that ``dmparam sweep`` scans add:
+
+    * their grid ``axes``;
+    * ``mats``, the array formula behind the constructor: the constructor's
+      arguments, each stacked over leading axes that broadcast together
+      (a ``reals`` one as ``(..., k)``), map to a ``(..., 4, 4)`` stack of
+      unchecked matrices; the constructor checks its arguments, calls it on
+      them and gates the result as a :class:`DensityMatrix`;
+    * ``domain``, the mask of the stacked points that pass the
+      constructor's range checks (``None`` when it has none);
+    * the analytic PPT ``margin`` of the arguments, elementwise over the
+      same stacks (its sign is the verdict);
+    * where a parameter is computed from the axes, ``derive``: a function of
+      the dict of axis and fixed values, which may be scalars or stacks.
     """
 
     build: Callable
@@ -352,31 +408,45 @@ class Family:
     axes: tuple = ()
     margin: Callable | None = None
     derive: dict = field(default_factory=dict)
+    mats: Callable | None = None
+    domain: Callable | None = None
 
 
 def _isotropic_alpha_margin(p, alpha):
     s, c = np.sin(alpha), np.cos(alpha)
     base = (1.0 - p) / 4.0
-    return min(base + p * s * s, base + p * c * c, base + p * s * c, base - p * s * c)
+    return np.minimum(np.minimum(base + p * s * s, base + p * c * c),
+                      np.minimum(base + p * s * c, base - p * s * c))
 
 
 def _bell_weights(point):
-    """``p`` from the axes ``p1..p3`` (0 when not given), with ``p4 = 1 - p1 - p2 - p3``."""
+    """``p`` as ``(..., 4)`` from the axes ``p1..p3`` (0 when not given), with
+    ``p4 = 1 - p1 - p2 - p3``."""
     p123 = [point.get(k, 0.0) for k in ("p1", "p2", "p3")]
-    return p123 + [1.0 - sum(p123)]
+    return np.stack(np.broadcast_arrays(*p123, 1.0 - sum(p123)), axis=-1)
 
 
 FAMILIES = {
-    "pure_P": Family(pure_P, {"alpha": "real"}, ("alpha",),
-                     lambda alpha: -abs(np.sin(alpha) * np.cos(alpha))),
-    "isotropic": Family(isotropic, {"p": "real"}, ("p",),
-                        lambda p: min((1.0 - 3.0 * p) / 4.0, (1.0 + p) / 4.0)),
-    "isotropic_alpha": Family(isotropic_alpha, {"p": "real", "alpha": "real"}, ("p", "alpha"),
-                              _isotropic_alpha_margin),
-    "circulant": Family(circulant_rho, {"p": "reals", "alpha": "real", "beta": "real"},
-                        ("alpha", "beta"), lambda p, a, b: min(*circulant_ppt_margins(p, a, b))),
-    "bell_diagonal": Family(bell_diagonal, {"p": "reals"}, ("p1", "p2", "p3"),
-                            lambda p: 0.5 - max(p), {"p": _bell_weights}),
+    "pure_P": Family(
+        pure_P, {"alpha": "real"}, ("alpha",),
+        lambda alpha: -np.abs(np.sin(alpha) * np.cos(alpha)),
+        mats=_pure_P_mats),
+    "isotropic": Family(
+        isotropic, {"p": "real"}, ("p",),
+        lambda p: np.minimum((1.0 - 3.0 * p) / 4.0, (1.0 + p) / 4.0),
+        mats=_isotropic_mats, domain=_isotropic_in_range),
+    "isotropic_alpha": Family(
+        isotropic_alpha, {"p": "real", "alpha": "real"}, ("p", "alpha"),
+        _isotropic_alpha_margin, mats=_isotropic_alpha_mats),
+    "circulant": Family(
+        circulant_rho, {"p": "reals", "alpha": "real", "beta": "real"}, ("alpha", "beta"),
+        lambda p, a, b: np.minimum(*_circulant_margins(p, a, b)),
+        mats=_circulant_mats,
+        domain=lambda p, a, b: _on_simplex(p, 4) & _angle_ok(a) & _angle_ok(b)),
+    "bell_diagonal": Family(
+        bell_diagonal, {"p": "reals"}, ("p1", "p2", "p3"),
+        lambda p: 0.5 - np.max(p, axis=-1), {"p": _bell_weights},
+        mats=_bell_diagonal_mats, domain=lambda p: _on_simplex(p, 4)),
     "two_by_m": Family(two_by_m, dict.fromkeys(("U", "L1", "L2", "Xi2"), "matrix")),
     "toeplitz": Family(toeplitz_state, dict.fromkeys(("L", "U", "Xi2"), "matrix")),
     "hankel": Family(hankel_state, dict.fromkeys(("U", "L1", "L2", "Xi2"), "matrix")),

@@ -71,6 +71,17 @@ def _check_simplex(lambdas, size, descending, who):
     return lambdas
 
 
+def _on_simplex(P, size):
+    """Mask over a ``(..., size)`` stack: the rows that
+    ``_check_simplex(row, size, False, ...)`` accepts (all False for
+    another last axis)."""
+    P = np.asarray(P, dtype=float)
+    if P.shape[-1:] != (size,):
+        return np.zeros(P.shape[:-1], dtype=bool)
+    negative = np.any(P < -_SIMPLEX_TOL, axis=-1)
+    return ~negative & ~(np.abs(np.sum(P, axis=-1) - 1.0) > _SIMPLEX_TOL)
+
+
 @dataclass(frozen=True)
 class SingleParams:
     """Parameters of an n-level state.

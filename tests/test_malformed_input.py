@@ -43,6 +43,21 @@ CASES = {
         ["--family", "isotropic", "--grid", "p=0:1:3", "--set", "alpha=0.3"], "'alpha'"),
     "sweep-list-for-number": (
         ["--family", "bell_diagonal", "--grid", "p1=0:0.3:3", "--set", "p2=0.1,0.2"], "p2"),
+    "sweep-grid-twice": (
+        ["--family", "isotropic", "--grid", "p=0:1:3", "--grid", "p=0:1:3"], "'p' is given more than once"),
+    "sweep-grid-and-set": (
+        ["--family", "pure_P", "--grid", "alpha=0:1:3", "--set", "alpha=0.2"],
+        "'alpha' is given more than once"),
+    "sweep-grid-nan": (
+        ["--family", "pure_P", "--grid", "alpha=nan:1:3"], "bad grid spec 'alpha=nan:1:3'"),
+    "sweep-grid-inf": (
+        ["--family", "pure_P", "--grid", "alpha=0:inf:3"], "bad grid spec 'alpha=0:inf:3'"),
+    "sweep-set-nan": (
+        ["--family", "isotropic_alpha", "--grid", "p=0:1:3", "--set", "alpha=nan"],
+        "bad --set 'alpha=nan'"),
+    "sweep-set-reals-inf": (
+        ["--family", "circulant", "--grid", "alpha=0:1:3", "--grid", "beta=0:1:3",
+         "--set", "p=0.5,inf,0,0"], "bad --set 'p=0.5,inf,0,0'"),
 }
 
 
@@ -66,6 +81,15 @@ def test_failed_sweep_leaves_no_file(tmp_path, capsys):
     assert main(["sweep", "--family", "isotropic", "--grid", "p=0:2:7", "-o", str(out)]) == 2
     assert "outside" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_block_entry_overflowing_the_gram_matrix_exits_2(tmp_path, capsys):
+    src = tmp_path / "params.json"
+    src.write_text(json.dumps(_block(blockvecs=[[[[1e200, 0.0], [0.0, 0.1]]]])))
+    assert main(["generate", str(src), "-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "Z_2" in err and "Gram matrix" in err and "overflows" in err
+    assert "Warning" not in err
 
 
 @pytest.mark.parametrize("value", ["2", 2.5, True])
