@@ -10,15 +10,17 @@ Subcommands::
                       --grid alpha=0:1.5707963267948966:50 -o sweep.csv
     dmparam validate  --seed 42 --trials 100
 
-Exit codes: 0 ok, 2 input error, 3 numerical failure, 4 not a state,
-5 check mismatch.  All floating-point output uses 17 significant digits and
-is a deterministic function of the inputs (and ``--seed`` where relevant).
+Exit codes: 0 ok, 2 input error, 3 numerical failure, 4 not a state, 5 check
+mismatch; a usage error raises ``SystemExit(2)``.  Output, with 17 significant
+digits, is a deterministic function of the inputs and ``--seed``.  ``main``
+builds its parser once and looks up the ``cmd_*`` handler per call (a rebound one runs).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import os
 import sys
@@ -93,10 +95,6 @@ class StateReport:
         if self.structure is not None:
             out.append(f"structure     {self.structure}")
         return out
-
-
-def _tolerances(args) -> Tolerances:
-    return Tolerances(tol_herm=args.tol_herm, tol_psd=args.tol_psd)
 
 
 def cmd_generate(args, tol) -> int:
@@ -299,6 +297,8 @@ _EXAMPLES = (
 
 
 def cmd_reproduce(args, tol) -> int:
+    if args.seed < 0:
+        raise ParamFileError(f"seed must be >= 0, got {args.seed}")
     names = _EXAMPLES if args.example == "all" else (args.example,)
     rep = _Reproducer(tol, args.seed)
     for name in names:
@@ -327,6 +327,8 @@ def _parse_grid(spec):
         raise ParamFileError(f"bad grid spec {spec!r}: count must be >= 1")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ParamFileError(f"bad grid spec {spec!r}: bounds must be finite")
+    if not math.isfinite(hi - lo):
+        raise ParamFileError(f"bad grid spec {spec!r}: hi - lo overflows")
     return name, lo, hi, count
 
 
@@ -463,8 +465,10 @@ def cmd_sweep(args, tol) -> int:
                     np.where(numeric, "true", "false").tolist(),
                     agreement.tolist(),
                 ))
-    except BaseException:
+    except BaseException as exc:
         os.remove(args.output)  # leave no truncated CSV behind
+        if isinstance(exc, DmParamError):  # named as ``build_family`` names it
+            exc.args = (f"family {args.family!r}: {exc}",)
         raise
     print(f"wrote {total} rows to {args.output}")
     return EXIT_OK
@@ -486,7 +490,8 @@ def cmd_validate(args, tol) -> int:
     return EXIT_OK
 
 
-def _build_parser():
+@functools.cache
+def _parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol-psd", type=float, default=DEFAULT_TOL.tol_psd,
                         help="most negative admissible eigenvalue")
@@ -506,19 +511,16 @@ def _build_parser():
     g = sub.add_parser("generate", parents=[common],
                        help="assemble a state from a parameter file")
     g.add_argument("input", help="parameter file (JSON)")
-    g.set_defaults(func=cmd_generate)
 
     a = sub.add_parser("analyze", parents=[common],
                        help="diagnostics for a state stored in a file")
     a.add_argument("input", help="matrix file (JSON or matrix_text)")
     a.add_argument("--n", type=int, default=None, help="first factor dimension")
     a.add_argument("--m", type=int, default=None, help="second factor dimension")
-    a.set_defaults(func=cmd_analyze)
 
     r = sub.add_parser("reproduce", parents=[common],
                        help="re-derive the worked closed-form examples")
     r.add_argument("example", choices=_EXAMPLES + ("all",))
-    r.set_defaults(func=cmd_reproduce)
 
     s = sub.add_parser("sweep", parents=[common],
                        help="grid scan of a family with PPT verdicts to CSV")
@@ -527,21 +529,20 @@ def _build_parser():
                    help="axis spec name=lo:hi:count (repeatable, row-major order)")
     s.add_argument("--set", action="append", default=[],
                    help="fixed parameter key=value (value may be comma-separated)")
-    s.set_defaults(func=cmd_sweep)
 
     v = sub.add_parser("validate", parents=[common],
                        help="run the randomized invariant suite")
     v.add_argument("--trials", type=int, default=100)
-    v.set_defaults(func=cmd_validate)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    command = {"generate": cmd_generate, "analyze": cmd_analyze, "reproduce": cmd_reproduce,
+               "sweep": cmd_sweep, "validate": cmd_validate}[args.command]
     try:
-        tol = _tolerances(args)
-        return args.func(args, tol)
+        tol = Tolerances(tol_herm=args.tol_herm, tol_psd=args.tol_psd)
+        return command(args, tol)
     except (NotPsdError, SingularAngleError, ConvergenceFailureError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

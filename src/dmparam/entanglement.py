@@ -52,7 +52,7 @@ def _unpack(rho, dims):
             "plain matrices need explicit dims=(n, m) for a partial transpose"
         )
     n, m = dims
-    if mat.shape[-2:] != (n * m, n * m):
+    if mat.shape[-2:] != (n * m, n * m) or min(n, m) < 1:
         raise MissingFactorizationError(
             f"matrix of shape {mat.shape} does not match dims {dims}"
         )

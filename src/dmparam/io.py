@@ -16,9 +16,8 @@ Complex numbers are ``[re, im]`` pairs; matrices are row-major nested
 arrays of such pairs (plain reals are accepted where the imaginary part is
 zero).  Angles are radians.
 
-Matrices are written either as JSON (with dims) or as ``matrix_text``:
-whitespace-separated ``re+imj`` tokens, one row per line, with 17
-significant digits so that values round-trip exactly.
+Matrices are written from ``.tolist()``: as JSON with dims, laid out as ``json.dumps(indent=1)``
+would, or as ``matrix_text``, 17-digit ``re+imj`` tokens a row per line.  Both round-trip exactly.
 """
 
 from __future__ import annotations
@@ -112,14 +111,9 @@ _FAMILY_FIELDS = {
 }
 
 
-def _complex_pair(z):
-    return [z.real, z.imag]
-
-
 def matrix_to_nested(mat) -> list:
-    """Row-major nested ``[re, im]`` pairs."""
-    mat = np.asarray(mat, dtype=complex)
-    return [[_complex_pair(z) for z in row] for row in mat]
+    """Row-major nested ``[re, im]`` pairs of Python floats."""
+    return [[[z.real, z.imag] for z in row] for row in np.asarray(mat, dtype=complex).tolist()]
 
 
 def _get(payload, key, kind):
@@ -200,18 +194,23 @@ def _fmt_complex(z: complex) -> str:
     return f"{z.real:.17g}{z.imag:+.17g}j"
 
 
+def _json_matrix(rows) -> str:
+    """``json.dumps(indent=1)`` of ``rows``' pairs; only nan/inf ``%r`` floats hold letters."""
+    pairs = [",\n".join(["   [\n    %r,\n    %r\n   ]" % (z.real, z.imag) for z in row])
+             for row in rows]
+    text = "[\n" + ",\n".join(["  [\n" + row + "\n  ]" for row in pairs]) + "\n ]"
+    return text.replace("nan", "NaN").replace("inf", "Infinity")
+
+
 def write_matrix(path, mat, fmt: str = "json", n=None, m=None):
     """Write a matrix as JSON (with optional dims) or as ``matrix_text``."""
-    mat = np.asarray(mat, dtype=complex)
+    rows = np.asarray(mat, dtype=complex).tolist()
     if fmt == "json":
-        doc = {"schema_version": SCHEMA_VERSION, "matrix": matrix_to_nested(mat)}
-        if n is not None:
-            doc["n"] = int(n)
-        if m is not None:
-            doc["m"] = int(m)
-        text = json.dumps(doc, indent=1)
+        doc = {"schema_version": SCHEMA_VERSION, "matrix": None}
+        doc.update((key, int(dim)) for key, dim in (("n", n), ("m", m)) if dim is not None)
+        text = json.dumps(doc, indent=1).replace("null", _json_matrix(rows), 1)
     elif fmt == "matrix_text":
-        text = "\n".join(" ".join(_fmt_complex(z) for z in row) for row in mat)
+        text = "\n".join([" ".join([_fmt_complex(z) for z in row]) for row in rows])
     else:
         raise ParamFileError(f"unknown output format {fmt!r}")
     try:

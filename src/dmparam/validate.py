@@ -75,6 +75,8 @@ def run_validation(seed: int, trials: int, tol=DEFAULT_TOL):
     """Run every invariant family; returns a list of :class:`CheckResult`."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     results = []
 
