@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .blocks import BlockParams
+from .linalg import _haar_qr
 from .single import SingleParams
 
 
@@ -28,10 +29,7 @@ def rand_psd(rng, d, scale=1.0):
 
 
 def rand_unitary(rng, d):
-    Q, R = np.linalg.qr(rand_complex(rng, (d, d)))
-    diag = np.diagonal(R).copy()
-    diag[diag == 0] = 1.0
-    return Q * (diag / np.abs(diag))
+    return _haar_qr(rand_complex(rng, (d, d)))
 
 
 def rand_simplex(rng, d):

@@ -31,6 +31,11 @@ automatically, and that path (like ``method="exp"``) multiplies by the full
 
 For ``m = 1`` everything reduces to :mod:`dmparam.single`, whose chain
 applies each ``V_j`` as a rank-2 update of the top ``j`` rows.
+
+Inputs are checked once.  :class:`BlockParams` stores each level as a frozen
+``(j - 1, m, m)`` stack, and :func:`assemble_rho_block` reads it through
+kernels that check nothing (``_core``, ``_closed_Vj``, ``_generator``), which
+the public layer functions call after checking their raw arguments.
 """
 
 from __future__ import annotations
@@ -69,8 +74,9 @@ _METHODS = ("closed", "exp", "auto")
 _GRAM_MAX = np.finfo(float).max / 2.0
 
 
-def _as_blocks(Zs, m=None, who="block vector"):
-    """Validate a list of equally sized square blocks.
+def _as_blocks(Zs, m=None, who="block vector", j=None):
+    """Validate a list of equally sized square blocks, ``j - 1`` of them
+    when level ``j`` is given.
 
     Returns the blocks stacked into one ``(k, m, m)`` complex array, and ``m``.
     """
@@ -104,6 +110,8 @@ def _as_blocks(Zs, m=None, who="block vector"):
             f"{who}: its Gram matrix sum_k Z_k^dag Z_k overflows "
             f"(largest entry {big:.3e})"
         )
+    if j is not None and len(T) != j - 1:
+        raise DimensionMismatchError(f"{who}: expected {j - 1} blocks, got {len(T)}")
     return T, m
 
 
@@ -169,21 +177,19 @@ def build_Xj_block(Zs, n: int, j: int, m: int) -> np.ndarray:
     """
     if not 2 <= j <= n:
         raise DimensionMismatchError(f"need 2 <= j <= n, got j={j}, n={n}")
-    T, m = _as_blocks(Zs, m, who="build_Xj_block")
-    if len(T) != j - 1:
-        raise DimensionMismatchError(
-            f"build_Xj_block: expected {j - 1} blocks, got {len(T)}"
-        )
+    T, _ = _as_blocks(Zs, m, "build_Xj_block", j)
+    return _generator(T, n)
+
+
+def _generator(T, n):
+    """``X_j`` of a validated level stack ``T`` (``j = len(T) + 1``)."""
+    k, m, _ = T.shape
     X = np.zeros((n * m, n * m), dtype=complex)
-    col = (j - 1) * m
+    col = k * m
     Zh = T.reshape(col, m)
     X[:col, col : col + m] = Zh
     X[col : col + m, :col] = -Zh.conj().T
     return X
-
-
-def _is_zero(Zs):
-    return not np.any(Zs)
 
 
 def build_Vjnm(Zs, j: int, m: int, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -194,13 +200,14 @@ def build_Vjnm(Zs, j: int, m: int, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     all-zero block vector; raises :class:`SingularAngleError` for a nonzero
     vector with singular angle.
     """
-    T, m = _as_blocks(Zs, m, who="build_Vjnm")
-    if len(T) != j - 1:
-        raise DimensionMismatchError(
-            f"build_Vjnm: expected {j - 1} blocks, got {len(T)}"
-        )
-    if _is_zero(T):
+    T, m = _as_blocks(Zs, m, "build_Vjnm", j)
+    if not np.any(T):
         return np.eye(j * m, dtype=complex)
+    return _closed_Vj(T, tol)
+
+
+def _closed_Vj(T, tol):
+    """Closed-form ``V_j`` of a validated, nonzero level stack ``T``."""
     C, S, Zt = _angle_data(T, tol)
     if Zt is None:
         raise SingularAngleError(
@@ -209,10 +216,11 @@ def build_Vjnm(Zs, j: int, m: int, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     # Zh^dag enters as the stack of its m x m blocks: the batched products
     # then round every block exactly as an m x m product does, which one
     # wide product over Zh^dag does not (with NumPy's OpenBLAS, for m = 2, 3).
-    last = (j - 1) * m
+    k, m, _ = T.shape
+    last = k * m
     Zh = Zt.reshape(last, m)
     ZtH = Zt.conj().transpose(0, 2, 1)
-    V = np.empty((j * m, j * m), dtype=complex)
+    V = np.empty((last + m, last + m), dtype=complex)
     cols = (Zh @ (np.eye(m) - C)) @ ZtH
     V[:last, :last] = np.eye(last) - cols.transpose(1, 0, 2).reshape(last, last)
     V[:last, last:] = Zh @ S
@@ -236,20 +244,16 @@ def build_Ajnm(
         raise DimensionMismatchError(f"need 2 <= j <= n, got j={j}, n={n}")
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}")
-    T, m = _as_blocks(Zs, m, who="build_Ajnm")
-    if _is_zero(T):
-        if len(T) != j - 1:
-            raise DimensionMismatchError(
-                f"build_Ajnm: expected {j - 1} blocks, got {len(T)}"
-            )
+    T, m = _as_blocks(Zs, m, "build_Ajnm", j)
+    if not np.any(T):
         return np.eye(n * m, dtype=complex)
     if method == "exp":
-        return expm_skew(build_Xj_block(T, n, j, m), tol)
+        return expm_skew(_generator(T, n), tol)
     try:
-        V = build_Vjnm(T, j, m, tol)
+        V = _closed_Vj(T, tol)
     except SingularAngleError:
         if method == "auto":
-            return expm_skew(build_Xj_block(T, n, j, m), tol)
+            return expm_skew(_generator(T, n), tol)
         raise
     A = np.eye(n * m, dtype=complex)
     A[: j * m, : j * m] = V
@@ -280,6 +284,13 @@ class BlockDiagonalCore:
             raise BadNormalizationError(f"core traces sum to {total!r}, not 1")
         object.__setattr__(self, "blocks", tuple(blocks))
 
+    @classmethod
+    def _of(cls, blocks):
+        """A core of read-only blocks, valid by construction and not checked."""
+        core = object.__new__(cls)
+        object.__setattr__(core, "blocks", tuple(blocks))
+        return core
+
     def matrix(self) -> np.ndarray:
         """The full block-diagonal matrix."""
         m = self.blocks[0].shape[0]
@@ -301,16 +312,27 @@ def build_core(lambdas, local_unitaries, n: int, m: int, tol: Tolerances = DEFAU
         raise DimensionMismatchError(
             f"build_core: expected {n} local unitaries, got {len(local_unitaries)}"
         )
-    blocks = []
-    for k in range(n):
-        U = _require_unitary(local_unitaries[k], tol, f"build_core: U_{k + 1}")
+    unitaries = []
+    for k, U in enumerate(local_unitaries):
+        U = _require_unitary(U, tol, f"build_core: U_{k + 1}")
         if U.shape[0] != m:
             raise DimensionMismatchError(
                 f"build_core: U_{k + 1} has size {U.shape[0]}, expected {m}"
             )
+        unitaries.append(U)
+    D = _core(lambdas, unitaries)
+    D.flags.writeable = False
+    return BlockDiagonalCore._of(D[k * m : (k + 1) * m, k * m : (k + 1) * m] for k in range(n))
+
+
+def _core(lambdas, unitaries):
+    """The core ``D(Lambda_1 | ... | Lambda_n)`` of validated inputs."""
+    m = len(unitaries[0])
+    D = np.zeros((len(lambdas), len(lambdas)), dtype=complex)
+    for k, U in enumerate(unitaries):
         L = (U * lambdas[k * m : (k + 1) * m]) @ U.conj().T
-        blocks.append((L + L.conj().T) / 2.0)
-    return BlockDiagonalCore(tuple(blocks))
+        D[k * m : (k + 1) * m, k * m : (k + 1) * m] = (L + L.conj().T) / 2.0
+    return D
 
 
 @dataclass(frozen=True)
@@ -321,6 +343,9 @@ class BlockParams:
     ``local_unitaries`` are the ``n`` unitaries entering the core blocks and
     ``blockvecs[j - 2]`` is the block vector of ``j - 1`` matrices of size
     ``m x m`` for ``j = 2..n``.
+    Construction checks unitaries at ``DEFAULT_TOL``, whatever ``tol`` the
+    state is assembled with, and keeps each level of ``blockvecs`` as one
+    read-only ``(j - 1, m, m)`` stack, which assembly does not check again.
     """
 
     n: int
@@ -357,13 +382,9 @@ class BlockParams:
             )
         vecs = []
         for j, Zs in enumerate(self.blockvecs, start=2):
-            T, _ = _as_blocks(Zs, self.m, who=f"BlockParams: Z_{j}")
-            if len(T) != j - 1:
-                raise DimensionMismatchError(
-                    f"block vector for j={j} must have {j - 1} blocks, got {len(T)}"
-                )
+            T, _ = _as_blocks(Zs, self.m, f"BlockParams: Z_{j}", j)
             T.flags.writeable = False
-            vecs.append(tuple(T))
+            vecs.append(T)
         object.__setattr__(self, "lambdas", lambdas)
         object.__setattr__(self, "local_unitaries", tuple(unitaries))
         object.__setattr__(self, "blockvecs", tuple(vecs))
@@ -379,24 +400,25 @@ def assemble_rho_block(
     vectors zero the state is block diagonal with blocks ``Lambda_k``.
     ``method`` picks each level's unitary as in :func:`build_Ajnm`; a
     closed-form ``V_j`` multiplies only the top ``jm`` rows of the product.
+    ``tol`` sets the singular-angle decision, the ``exp`` fallback's check
+    and the :class:`DensityMatrix` gate, nothing else: ``p`` is checked.
     """
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}")
     n, m = p.n, p.m
-    core = build_core(p.lambdas, p.local_unitaries, n, m, tol)
-    D = core.matrix()
+    D = _core(p.lambdas, p.local_unitaries)
     U = np.eye(n * m, dtype=complex)
-    for j, Zs in enumerate(p.blockvecs, start=2):
-        if _is_zero(Zs):
+    for j, T in enumerate(p.blockvecs, start=2):
+        if not np.any(T):
             continue
         if method != "exp":
             try:
-                U[: j * m] = build_Vjnm(Zs, j, m, tol) @ U[: j * m]
+                U[: j * m] = _closed_Vj(T, tol) @ U[: j * m]
                 continue
             except SingularAngleError:
                 if method == "closed":
                     raise
-        U = build_Ajnm(Zs, n, j, m, method, tol) @ U
+        U = build_Ajnm(T, n, j, m, method, tol) @ U
     rho = U @ D @ U.conj().T
     rho = (rho + rho.conj().T) / 2.0
     return DensityMatrix(n, m, rho, tol)

@@ -425,6 +425,17 @@ def cmd_sweep(args, tol) -> int:
     missing = [k for k in family.params if k not in have]
     if missing:
         raise ParamFileError(f"sweep {args.family!r}: parameters {missing} need --grid or --set")
+    # Families sum their weights (a ``reals`` parameter's entries, or the axes
+    # ``derive`` turns into one) at every point; those sums, a derived weight
+    # included, stay below twice their largest magnitudes plus one.
+    largest = {name: max(abs(lo), abs(hi)) for name, lo, hi, _ in axes}
+    largest.update((k, sum(abs(x) for x in np.ravel(v).tolist())) for k, v in fixed.items())
+    reach = 0.0
+    for name in (k for k in given if family.params.get(k, "reals") == "reals"):
+        reach += largest[name]
+        if not math.isfinite(2.0 * reach + 1.0):
+            raise ParamFileError(
+                f"sweep {args.family!r}: {name!r} is too large: the weights' sums overflow")
 
     counts = [count for *_, count in axes]
 

@@ -33,12 +33,9 @@ from .errors import (
     ConditionViolatedError,
     DimensionMismatchError,
     DmParamError,
-    NotPsdError,
     OutOfRangeError,
 )
-from .linalg import (
-    DEFAULT_TOL, TRACE_TOL, Tolerances, _require_hermitian, _require_unitary, matfun_psd
-)
+from .linalg import DEFAULT_TOL, TRACE_TOL, Tolerances, _require_psd, _require_unitary
 from .single import _check_simplex, _on_simplex
 from .states import DensityMatrix
 
@@ -67,14 +64,6 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 _COND_TOL = 1e-10
-
-
-def _require_psd(M, tol, who):
-    M = _require_hermitian(M, tol, who)
-    w = np.linalg.eigvalsh(M)
-    if w[0] < -tol.tol_psd:
-        raise NotPsdError(f"{who}: eigenvalue {w[0]:.3e} below -tol_psd")
-    return M
 
 
 def _pure_P_mats(alpha):
@@ -228,16 +217,14 @@ def two_by_m(U, L1, L2, Xi2, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
     """
     U = _require_unitary(U, tol, "two_by_m: U")
     m = U.shape[0]
-    L1 = _require_psd(L1, tol, "two_by_m: L1")
-    L2 = _require_psd(L2, tol, "two_by_m: L2")
-    Xi2 = _require_psd(Xi2, tol, "two_by_m: Xi2")
+    L1, _ = _require_psd(L1, tol, "two_by_m: L1")
+    L2, _ = _require_psd(L2, tol, "two_by_m: L2")
+    Xi2, (C, S) = _require_psd(Xi2, tol, "two_by_m: Xi2", ("cos", "sin"))
     if not L1.shape == L2.shape == Xi2.shape == (m, m):
         raise DimensionMismatchError("two_by_m: all inputs must be m x m")
     tr = float((np.trace(L1) + np.trace(L2)).real)
     if abs(tr - 1.0) > TRACE_TOL:
         raise BadNormalizationError(f"two_by_m: Tr(L1 + L2) = {tr!r}, not 1")
-    C = matfun_psd(Xi2, "cos", tol)
-    S = matfun_psd(Xi2, "sin", tol)
     B11, B12, B21, B22 = _two_by_m_blocks(U, L1, L2, C, S)
     rho = np.block([[B11, B12], [B21, B22]])
     rho = (rho + rho.conj().T) / 2.0
@@ -262,16 +249,14 @@ def toeplitz_state(L, U, Xi2, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
     commutes with ``Xi2``; in that degenerate case the state is block
     diagonal.
     """
-    L = _require_psd(L, tol, "toeplitz_state: L")
+    L, _ = _require_psd(L, tol, "toeplitz_state: L")
     U = _require_unitary(U, tol, "toeplitz_state: U")
-    Xi2 = _require_psd(Xi2, tol, "toeplitz_state: Xi2")
+    Xi2, (C, S) = _require_psd(Xi2, tol, "toeplitz_state: Xi2", ("cos", "sin"))
     m = L.shape[0]
     if not U.shape == Xi2.shape == (m, m):
         raise DimensionMismatchError("toeplitz_state: all inputs must be m x m")
     _check_condition("[L, U] = 0", np.linalg.norm(L @ U - U @ L))
     _check_condition("Tr(2L) = 1", abs(2.0 * float(np.trace(L).real) - 1.0))
-    C = matfun_psd(Xi2, "cos", tol)
-    S = matfun_psd(Xi2, "sin", tol)
     A = C @ L @ C + S @ L @ S
     B = S @ L @ C - C @ L @ S
     _check_condition("U A U^dag = A", np.linalg.norm(U @ A @ U.conj().T - A))
@@ -296,9 +281,9 @@ def hankel_state(U, L1, L2, Xi2, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix
     Hankel, hence PPT.
     """
     U = _require_unitary(U, tol, "hankel_state: U")
-    L1 = _require_psd(L1, tol, "hankel_state: L1")
-    L2 = _require_psd(L2, tol, "hankel_state: L2")
-    Xi2 = _require_psd(Xi2, tol, "hankel_state: Xi2")
+    L1, _ = _require_psd(L1, tol, "hankel_state: L1")
+    L2, _ = _require_psd(L2, tol, "hankel_state: L2")
+    Xi2, (C, S) = _require_psd(Xi2, tol, "hankel_state: Xi2", ("cos", "sin"))
     m = U.shape[0]
     if not L1.shape == L2.shape == Xi2.shape == (m, m):
         raise DimensionMismatchError("hankel_state: all inputs must be m x m")
@@ -307,8 +292,6 @@ def hankel_state(U, L1, L2, Xi2, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix
     _check_condition("[L2, Xi2] = 0", np.linalg.norm(L2 @ Xi2 - Xi2 @ L2))
     tr = float((np.trace(L1) + np.trace(L2)).real)
     _check_condition("Tr(L1 + L2) = 1", abs(tr - 1.0))
-    C = matfun_psd(Xi2, "cos", tol)
-    S = matfun_psd(Xi2, "sin", tol)
     Bp = S @ C @ (L2 - L1r)
     _check_condition("U B' = B' U^dag", np.linalg.norm(U @ Bp - Bp @ U.conj().T))
     X = U @ Bp
@@ -354,12 +337,10 @@ def nonabelian_bloch(U, Xi2, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
     Parameterized by ``2 m^2`` real numbers: a unitary and a PSD angle.
     """
     U = _require_unitary(U, tol, "nonabelian_bloch: U")
-    Xi2 = _require_psd(Xi2, tol, "nonabelian_bloch: Xi2")
+    Xi2, (C, S) = _require_psd(Xi2, tol, "nonabelian_bloch: Xi2", ("cos", "sin"))
     m = U.shape[0]
     if Xi2.shape != (m, m):
         raise DimensionMismatchError("nonabelian_bloch: U and Xi2 must match")
-    C = matfun_psd(Xi2, "cos", tol)
-    S = matfun_psd(Xi2, "sin", tol)
     Ud = U.conj().T
     rho = np.block([[U @ S @ S @ Ud, U @ S @ C], [C @ S @ Ud, C @ C]]) / m
     rho = (rho + rho.conj().T) / 2.0

@@ -115,6 +115,27 @@ def _require_unitary(U, tol, who):
     return U
 
 
+def _psd_eig(M, tol, who, vectors=False):
+    """The PSD check: ``M`` Hermitian within ``tol.tol_herm``, one eigensolve.
+
+    Returns ``(M, w, V)``, ``V`` only with ``vectors`` (``eigvalsh`` runs
+    otherwise); ``M`` is PSD iff ``w[0] >= -tol.tol_psd``.
+    """
+    M = _require_hermitian(M, tol, who)
+    return (M, *np.linalg.eigh(M)) if vectors else (M, np.linalg.eigvalsh(M), None)
+
+
+def _require_psd(M, tol, who, kinds=()):
+    """``M``, raising :class:`NotPsdError` unless PSD, and ``f(M)`` for each
+    :func:`matfun_psd` kind from the same eigendecomposition."""
+    M, w, V = _psd_eig(M, tol, who, bool(kinds))
+    if w.size and w[0] < -tol.tol_psd:
+        raise NotPsdError(f"{who}: eigenvalue {w[0]:.3e} below -tol_psd")
+    w = np.clip(w, 0.0, None)
+    funs = [(V * _MATFUNS[kind](w)) @ V.conj().T for kind in kinds]
+    return M, [(F + F.conj().T) / 2.0 for F in funs]
+
+
 def herm_eig(M, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
     """Eigendecompose a Hermitian matrix.
 
@@ -188,15 +209,7 @@ def matfun_psd(P, kind: str, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """
     if kind not in _MATFUNS:
         raise ValueError(f"matfun_psd: unknown function {kind!r}")
-    P = _require_hermitian(P, tol, "matfun_psd")
-    w, V = np.linalg.eigh(P)
-    if w.size and w[0] < -tol.tol_psd:
-        raise NotPsdError(
-            f"matfun_psd: eigenvalue {w[0]:.3e} below -tol_psd = {-tol.tol_psd:.1e}"
-        )
-    w = np.clip(w, 0.0, None)
-    F = (V * _MATFUNS[kind](w)) @ V.conj().T
-    return (F + F.conj().T) / 2.0
+    return _require_psd(P, tol, "matfun_psd", (kind,))[1][0]
 
 
 def polar(Z, tol: Tolerances = DEFAULT_TOL):
@@ -227,8 +240,7 @@ def psd_check(M, tol: Tolerances = DEFAULT_TOL):
     (is_psd, min_eig) : tuple of (bool, float)
         ``is_psd`` is true iff ``min_eig >= -tol.tol_psd``.
     """
-    M = _require_hermitian(M, tol, "psd_check")
-    w = np.linalg.eigvalsh(M)
+    _, w, _ = _psd_eig(M, tol, "psd_check")
     min_eig = float(w[0])
     return min_eig >= -tol.tol_psd, min_eig
 
@@ -243,6 +255,11 @@ def haar_unitary(m: int, seed: int) -> np.ndarray:
         raise DimensionMismatchError(f"haar_unitary: m must be >= 1, got {m}")
     rng = np.random.default_rng(seed)
     Z = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / np.sqrt(2.0)
+    return _haar_qr(Z)
+
+
+def _haar_qr(Z):
+    """``Q`` of ``Z = QR`` times the phases of ``diag(R)``: Haar for a Ginibre ``Z``."""
     Q, R = np.linalg.qr(Z)
     d = np.diagonal(R).copy()
     d[d == 0] = 1.0  # measure-zero guard

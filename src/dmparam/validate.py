@@ -66,6 +66,10 @@ def _spectrum_gap(rho, lambdas):
     return float(np.max(np.abs(np.sort(rho.eigenvalues) - np.sort(lambdas))))
 
 
+def _gap(rho, sigma):
+    return float(np.max(np.abs(rho.mat - sigma.mat)))
+
+
 def _check(name, bound, residuals, counterexample=None):
     worst = max(residuals) if residuals else 0.0
     return CheckResult(name, worst <= bound, worst, bound, counterexample)
@@ -162,7 +166,7 @@ def run_validation(seed: int, trials: int, tol=DEFAULT_TOL):
         p = rnd.rand_block_params(rng, n, m)
         rho_c = assemble_rho_block(p, tol, method="closed")
         rho_e = assemble_rho_block(p, tol, method="exp")
-        res.append(float(np.max(np.abs(rho_c.mat - rho_e.mat))))
+        res.append(_gap(rho_c, rho_e))
         res.append(_spectrum_gap(rho_c, p.lambdas))
     for _ in range(trials):
         # m = 1 with the same z chain and arbitrary local phases (phases
@@ -172,16 +176,11 @@ def run_validation(seed: int, trials: int, tol=DEFAULT_TOL):
         phases = tuple(
             np.array([[np.exp(1j * rng.uniform(0, 2 * np.pi))]]) for _ in range(n)
         )
-        blockvecs = tuple(
-            tuple(np.array([[w]]) for w in ps.zvecs[j - 2]) for j in range(2, n + 1)
-        )
+        blockvecs = tuple(z.reshape(-1, 1, 1) for z in ps.zvecs)
         pb = BlockParams(
             n=n, m=1, lambdas=ps.lambdas, local_unitaries=phases, blockvecs=blockvecs
         )
-        res.append(
-            float(np.max(np.abs(assemble_rho_block(pb, tol).mat
-                                - assemble_rho_single(ps, tol).mat)))
-        )
+        res.append(_gap(assemble_rho_block(pb, tol), assemble_rho_single(ps, tol)))
     results.append(_check("block chain", 1e-9, res))
 
     # Partial transpose: involution, spectra across subsystems, product states.
@@ -212,18 +211,17 @@ def run_validation(seed: int, trials: int, tol=DEFAULT_TOL):
         alpha = rng.uniform(0.05, np.pi / 2 - 0.05)
         beta = rng.uniform(0.05, np.pi / 2 - 0.05)
         p = rnd.rand_simplex(rng, 4)
-        res.append(float(np.max(np.abs(pure_P(alpha).mat - _chain_pure(alpha, tol).mat))))
         pr = rng.uniform(-1 / 3, 1.0)
-        res.append(float(np.max(np.abs(isotropic(pr).mat - _chain_isotropic(pr, np.pi / 4, tol).mat))))
-        res.append(
-            float(np.max(np.abs(isotropic_alpha(pr, alpha).mat - _chain_isotropic(pr, alpha, tol).mat)))
-        )
-        res.append(
-            float(np.max(np.abs(circulant_rho(p, alpha, beta).mat - _chain_circulant(p, alpha, beta, tol).mat)))
-        )
-        res.append(
-            float(np.max(np.abs(circulant_rho(p, np.pi / 4, np.pi / 4).mat - bell_diagonal(p).mat)))
-        )
+        iso = np.array([1.0 - pr, 1.0 - pr, 1.0 - pr, 1.0 + 3.0 * pr]) / 4.0
+        p1, p2, p3, p4 = p
+        Z = SIGMA_X @ np.diag([alpha, beta]).astype(complex)
+        res += [
+            _gap(pure_P(alpha), _chain_2x2([0.0, 0.0, 0.0, 1.0], alpha * SIGMA_X, tol)),
+            _gap(isotropic(pr), _chain_2x2(iso, np.pi / 4 * SIGMA_X, tol)),
+            _gap(isotropic_alpha(pr, alpha), _chain_2x2(iso, alpha * SIGMA_X, tol)),
+            _gap(circulant_rho(p, alpha, beta), _chain_2x2([p2, p4, p3, p1], Z, tol)),
+            _gap(circulant_rho(p, np.pi / 4, np.pi / 4), bell_diagonal(p)),
+        ]
     results.append(_check("family closed forms vs chain", 1e-12, res))
 
     # Analytic circulant PPT conditions against the numerical eigenvalue.
@@ -285,39 +283,11 @@ def run_validation(seed: int, trials: int, tol=DEFAULT_TOL):
     return results
 
 
-def _chain_pure(alpha, tol):
+def _chain_2x2(lambdas, Z, tol):
+    """The generic 2 (x) 2 chain with identity local unitaries and block vector ``(Z,)``."""
     eye2 = np.eye(2, dtype=complex)
     return assemble_rho_block(
-        BlockParams(
-            n=2, m=2, lambdas=np.array([0.0, 0.0, 0.0, 1.0]),
-            local_unitaries=(eye2, eye2),
-            blockvecs=((alpha * SIGMA_X,),),
-        ),
-        tol,
-    )
-
-
-def _chain_isotropic(p, alpha, tol):
-    eye2 = np.eye(2, dtype=complex)
-    lambdas = np.array([1.0 - p, 1.0 - p, 1.0 - p, 1.0 + 3.0 * p]) / 4.0
-    return assemble_rho_block(
-        BlockParams(
-            n=2, m=2, lambdas=lambdas, local_unitaries=(eye2, eye2),
-            blockvecs=((alpha * SIGMA_X,),),
-        ),
-        tol,
-    )
-
-
-def _chain_circulant(p, alpha, beta, tol):
-    p1, p2, p3, p4 = p
-    eye2 = np.eye(2, dtype=complex)
-    Z = SIGMA_X @ np.diag([alpha, beta]).astype(complex)
-    return assemble_rho_block(
-        BlockParams(
-            n=2, m=2, lambdas=np.array([p2, p4, p3, p1]),
-            local_unitaries=(eye2, eye2), blockvecs=((Z,),),
-        ),
+        BlockParams(n=2, m=2, lambdas=lambdas, local_unitaries=(eye2, eye2), blockvecs=((Z,),)),
         tol,
     )
 

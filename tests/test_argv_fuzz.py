@@ -17,7 +17,6 @@ import os
 import re
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
@@ -173,9 +172,6 @@ def _names_one(err, argv, names):
             or any(re.search(rf"(?<!\w){re.escape(n)}(?!\w)", err) for n in names))
 
 
-# Huge --set values overflow in NumPy's simplex sums: a RuntimeWarning, then an
-# exit 2 that names the family.  The warning is not the exit-code contract.
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(argv=argvs())
 @example(argv=["reproduce", "pure_P", "--seed", "-1"])  # NumPy's own message named no flag

@@ -58,6 +58,11 @@ CASES = {
     "sweep-set-reals-inf": (
         ["--family", "circulant", "--grid", "alpha=0:1:3", "--grid", "beta=0:1:3",
          "--set", "p=0.5,inf,0,0"], "bad --set 'p=0.5,inf,0,0'"),
+    "sweep-set-reals-sum-overflows": (
+        _SWEEP_CIRCULANT + ["--set", "p=1e308,1e308,0,0"], "sweep 'circulant': 'p' is too large"),
+    "sweep-set-weights-sum-overflows": (
+        ["--family", "bell_diagonal", "--grid", "p1=0:0.3:3", "--set", "p2=1e308",
+         "--set", "p3=1e308"], "sweep 'bell_diagonal': 'p2' is too large"),
 }
 
 

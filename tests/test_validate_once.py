@@ -1,0 +1,217 @@
+"""Inputs are checked once: by the params types on the way in and by the
+``DensityMatrix`` gate on the way out, not again by the layers in between.
+
+The counts are taken by wrapping the checks the layers used to repeat; the
+bitwise tests pin the private kernels to the public layer functions and to
+``matfun_psd``, so skipping the checks changes no bit of any state.
+"""
+
+import numpy as np
+import pytest
+
+from dmparam import (
+    BlockParams,
+    SingularAngleError,
+    assemble_rho_block,
+    build_Ajnm,
+    build_core,
+    build_Vjnm,
+    hankel_state,
+    matfun_psd,
+    nonabelian_bloch,
+    toeplitz_state,
+    two_by_m,
+)
+from dmparam import blocks
+from dmparam._random import rand_block_params, rand_complex, rand_psd, rand_unitary
+from dmparam.families import _two_by_m_blocks
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Count the calls of each wrapped function; the arguments of ``eigh``
+    are kept too."""
+    counts = {"unitary": 0, "as_blocks": 0, "eigvalsh": 0, "eigh": []}
+
+    def wrap(owner, name, key):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            if key == "eigh":
+                counts[key].append(np.array(args[0]))
+            else:
+                counts[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    wrap(blocks, "_require_unitary", "unitary")
+    wrap(blocks, "_as_blocks", "as_blocks")
+    wrap(np.linalg, "eigvalsh", "eigvalsh")
+    wrap(np.linalg, "eigh", "eigh")
+    return counts
+
+
+def _singular(Zs):
+    """The blocks with the common kernel vector ``(1, i, 0, ...) / sqrt 2``,
+    which makes their matrix angle singular off the basis."""
+    m = Zs[0].shape[0]
+    v = np.zeros(m, dtype=complex)
+    v[:2] = (1.0, 1.0j)
+    v /= np.linalg.norm(v)
+    proj = np.eye(m) - np.outer(v, v.conj())
+    return tuple(Z @ proj for Z in Zs)
+
+
+def _params(n, m, seed, singular_top=False, zero_level=None):
+    p = rand_block_params(np.random.default_rng(seed), n, m)
+    vecs = list(p.blockvecs)
+    if singular_top:
+        vecs[-1] = _singular(vecs[-1])
+    if zero_level is not None:
+        vecs[zero_level - 2] = np.zeros_like(vecs[zero_level - 2])
+    return BlockParams(n, m, p.lambdas, p.local_unitaries, tuple(vecs))
+
+
+def _rebuilt(p):
+    """``assemble_rho_block(p)`` from the public layer functions."""
+    n, m = p.n, p.m
+    D = build_core(p.lambdas, p.local_unitaries, n, m).matrix()
+    U = np.eye(n * m, dtype=complex)
+    for j, Zs in enumerate(p.blockvecs, start=2):
+        if not np.any(Zs):
+            continue
+        try:
+            U[: j * m] = build_Vjnm(Zs, j, m) @ U[: j * m]
+        except SingularAngleError:
+            U = build_Ajnm(Zs, n, j, m, "auto") @ U
+    rho = U @ D @ U.conj().T
+    return (rho + rho.conj().T) / 2.0
+
+
+@pytest.mark.parametrize("n,m", [(3, 2), (8, 4)])
+def test_assembly_runs_only_the_state_gate(n, m, calls):
+    p = _params(n, m, seed=n + m)
+    calls["eigvalsh"] = calls["unitary"] = calls["as_blocks"] = 0
+    calls["eigh"].clear()
+    assemble_rho_block(p)
+    assert calls["unitary"] == 0
+    assert calls["as_blocks"] == 0
+    assert calls["eigvalsh"] == 1
+    assert len(calls["eigh"]) == n - 1  # one Gram eigendecomposition per level
+
+
+@pytest.mark.parametrize("method", ["closed", "exp", "auto"])
+@pytest.mark.parametrize("singular", [False, True])
+def test_build_Ajnm_stacks_its_blocks_once(method, singular, calls):
+    Zs = [rand_complex(np.random.default_rng(3), (3, 3)) for _ in range(2)]
+    if singular:
+        Zs = _singular(Zs)
+    if singular and method == "closed":
+        with pytest.raises(SingularAngleError):
+            build_Ajnm(Zs, 4, 3, 3, method)
+    else:
+        A = build_Ajnm(Zs, 4, 3, 3, method)
+        assert np.linalg.norm(A.conj().T @ A - np.eye(12)) <= 1e-10
+    assert calls["as_blocks"] == 1
+
+
+@pytest.mark.parametrize(
+    "n,m,singular_top,zero_level",
+    [(2, 2, False, None), (3, 3, False, None), (8, 4, True, 4), (5, 1, False, None)],
+)
+def test_assembly_equals_public_layers_bitwise(n, m, singular_top, zero_level):
+    p = _params(n, m, seed=10 * n + m, singular_top=singular_top, zero_level=zero_level)
+    assert np.array_equal(assemble_rho_block(p).mat, _rebuilt(p))
+
+
+def test_singular_top_level_takes_the_exp_fallback():
+    p = _params(8, 4, seed=84, singular_top=True, zero_level=4)
+    with pytest.raises(SingularAngleError):
+        build_Vjnm(p.blockvecs[-1], 8, 4)
+    assert not np.any(p.blockvecs[2])
+
+
+def _two_by_m_inputs(rng, m):
+    U = rand_unitary(rng, m)
+    L1, L2 = rand_psd(rng, m), rand_psd(rng, m)
+    tr = (np.trace(L1) + np.trace(L2)).real
+    return U, L1 / tr, L2 / tr, rand_psd(rng, m)
+
+
+def _hankel_inputs(rng, m):
+    W = rand_unitary(rng, m)
+    d1, d2 = rng.uniform(0.1, 1.0, m), rng.uniform(0.1, 1.0, m)
+    total = d1.sum() + d2.sum()
+    L1 = (W * (d1 / total)) @ W.conj().T
+    L2 = (W * (d2 / total)) @ W.conj().T
+    Xi = (W * rng.uniform(0.2, 1.2, m)) @ W.conj().T
+    U = (W * np.where(rng.uniform(size=m) < 0.5, -1.0, 1.0)) @ W.conj().T
+    return U, L1, L2, Xi
+
+
+def _sym(rho):
+    return (rho + rho.conj().T) / 2.0
+
+
+def _cs(Xi2):
+    return matfun_psd(Xi2, "cos"), matfun_psd(Xi2, "sin")
+
+
+def _two_by_m_formula(U, L1, L2, Xi2):
+    C, S = _cs(Xi2)
+    B11, B12, B21, B22 = _two_by_m_blocks(U, L1, L2, C, S)
+    return _sym(np.block([[B11, B12], [B21, B22]]))
+
+
+def _toeplitz_formula(L, U, Xi2):
+    C, S = _cs(Xi2)
+    A = C @ L @ C + S @ L @ S
+    UB = U @ (S @ L @ C - C @ L @ S)
+    return _sym(np.block([[A, UB], [UB.conj().T, A]]))
+
+
+def _hankel_formula(U, L1, L2, Xi2):
+    C, S = _cs(Xi2)
+    L1r = U.conj().T @ L1 @ U
+    X = U @ (S @ C @ (L2 - L1r))
+    A1 = C @ L1r @ C + S @ L2 @ S
+    A2 = C @ L2 @ C + S @ L1r @ S
+    return _sym(np.block([[U @ A1 @ U.conj().T, X], [X.conj().T, A2]]))
+
+
+def _bloch_formula(U, Xi2):
+    C, S = _cs(Xi2)
+    Ud = U.conj().T
+    m = U.shape[0]
+    return _sym(np.block([[U @ S @ S @ Ud, U @ S @ C], [C @ S @ Ud, C @ C]]) / m)
+
+
+def _family_cases():
+    rng = np.random.default_rng(21)
+    L = rand_psd(rng, 3)
+    L /= 2.0 * np.trace(L).real
+    return {
+        "two_by_m": (two_by_m, _two_by_m_formula, _two_by_m_inputs(rng, 3)),
+        "toeplitz": (toeplitz_state, _toeplitz_formula,
+                     (L, np.exp(0.7j) * np.eye(3), rand_psd(rng, 3))),
+        "hankel": (hankel_state, _hankel_formula, _hankel_inputs(rng, 3)),
+        "nonabelian_bloch": (nonabelian_bloch, _bloch_formula,
+                             (rand_unitary(rng, 3), rand_psd(rng, 3))),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_family_cases()))
+def test_two_by_m_family_decomposes_its_angle_once(name, calls):
+    build, _, args = _family_cases()[name]
+    calls["eigh"].clear()
+    build(*args)
+    Xi2 = np.asarray(args[-1], dtype=complex)
+    assert len(calls["eigh"]) == 1
+    assert np.array_equal(calls["eigh"][0], Xi2)
+
+
+@pytest.mark.parametrize("name", sorted(_family_cases()))
+def test_two_by_m_family_equals_its_formula_bitwise(name):
+    build, formula, args = _family_cases()[name]
+    assert np.array_equal(build(*args).mat, formula(*args))
