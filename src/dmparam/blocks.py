@@ -32,16 +32,27 @@ automatically, and that path (like ``method="exp"``) multiplies by the full
 For ``m = 1`` everything reduces to :mod:`dmparam.single`, whose chain
 applies each ``V_j`` as a rank-2 update of the top ``j`` rows.
 
+No level's matrix angle depends on another level; only the product
+``A_n ... A_2`` is sequential.  So :func:`assemble_rho_block` computes the
+angle data of all levels in one stacked pass (one ``eigh`` of the
+``(n - 1, m, m)`` stack of Gram matrices, then ``C``, ``S`` and the
+normalized blocks with their products as stacked matmuls) and the core
+blocks ``Lambda_k`` as one ``(n, m, m)`` product; the chain then fills and
+applies each ``V_j`` level by level.  The single-level layer functions call
+the same kernel with one level, so every path rounds alike.
+
 Inputs are checked once.  :class:`BlockParams` stores each level as a frozen
 ``(j - 1, m, m)`` stack, and :func:`assemble_rho_block` reads it through
-kernels that check nothing (``_core``, ``_closed_Vj``, ``_generator``), which
-the public layer functions call after checking their raw arguments.
+kernels that check nothing (``_core``, ``_angle_data``, ``_closed_V``,
+``_generator``), which the public layer functions call after checking their
+raw arguments.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,6 +91,8 @@ def _as_blocks(Zs, m=None, who="block vector", j=None):
 
     Returns the blocks stacked into one ``(k, m, m)`` complex array, and ``m``.
     """
+    if j is not None and len(Zs) != j - 1:
+        raise DimensionMismatchError(f"{who}: expected {j - 1} blocks, got {len(Zs)}")
     if len(Zs) == 0:
         raise DimensionMismatchError(f"{who}: needs at least one block")
     out = [np.asarray(Z, dtype=complex) for Z in Zs]
@@ -110,44 +123,107 @@ def _as_blocks(Zs, m=None, who="block vector", j=None):
             f"{who}: its Gram matrix sum_k Z_k^dag Z_k overflows "
             f"(largest entry {big:.3e})"
         )
-    if j is not None and len(T) != j - 1:
-        raise DimensionMismatchError(f"{who}: expected {j - 1} blocks, got {len(T)}")
     return T, m
 
 
 def _gram_eig(T):
-    """Eigendecomposition of ``sum_k Z_k^dag Z_k`` (PSD by construction)."""
-    G = sum(T.conj().transpose(0, 2, 1) @ T)
-    G = (G + G.conj().T) / 2.0
+    """Eigendecompositions of the Gram matrices ``sum_k Z_k^dag Z_k`` (PSD
+    by construction) of an ``(L, K, m, m)`` stack of ``L`` levels.
+
+    The products are summed one block index at a time, from the first, as a
+    single level's blocks are; zero padding adds nothing.  ``np.add.reduce``
+    would sum pairwise along a contiguous axis (``m = 1``) and round
+    differently.
+    """
+    G = sum((T.conj().swapaxes(-1, -2) @ T).swapaxes(0, 1))
+    G = (G + G.conj().swapaxes(-1, -2)) / 2.0
     return np.linalg.eigh(G)
 
 
-def _angle_data(T, tol):
-    """(C, S, Ztilde) from one Gram eigendecomposition of the stacked blocks.
+class _Angles(NamedTuple):
+    """Angle data of ``L`` levels, stacked on the first axis.
 
-    ``Ztilde`` is stacked like ``T``.  It is ``None`` when ``Xi`` is
-    singular: the smallest eigenvalue of the Gram matrix ``Xi^2`` is at most
-    ``tol_psd`` relative to the largest (or to one, whichever is bigger).
-    Deciding on the angle itself would let a rounding-level Gram eigenvalue
-    of 1e-17, an angle of about 3e-9, through to the closed form, which then
-    divides by it.
+    Level ``l`` with ``k`` blocks fills the first ``k`` of the ``K`` block
+    slots of ``Zt`` and ``ZtH`` (``(L, K, m, m)``) and the first ``km`` rows
+    of ``ZhImC`` and ``ZhS`` (``(L, Km, m)``); zeros pad the rest.
+    ``singular`` marks levels whose ``Xi`` is singular, all-zero levels among
+    them; their normalized blocks are not defined and are never read.
     """
+
+    C: np.ndarray  # (L, m, m) cos(Xi)
+    S: np.ndarray  # (L, m, m) sin(Xi)
+    singular: np.ndarray  # (L,)
+    Zt: np.ndarray  # the blocks Zt_k = Z_k inv(Xi)
+    ZtH: np.ndarray  # their adjoints Zt_k^dag
+    ZhImC: np.ndarray  # Zh (I - C), Zh stacking the Zt_k
+    ZhS: np.ndarray  # Zh S
+
+
+def _angle_data(levels, tol):
+    """:class:`_Angles` of a sequence of validated level stacks, in one pass.
+
+    All angles come from one stacked Gram eigendecomposition.  ``Xi`` is
+    singular when the smallest eigenvalue of the Gram matrix ``Xi^2`` is at
+    most ``tol_psd`` relative to the largest (or to one, whichever is
+    bigger).  Deciding on the angle itself would let a rounding-level Gram
+    eigenvalue of 1e-17, an angle of about 3e-9, through to the closed form,
+    which then divides by it.  Every product rounds each entry as it does for
+    one level on its own.
+    """
+    if len(levels) == 1:
+        T = levels[0][None]
+    else:
+        T = np.zeros((len(levels), max(map(len, levels))) + levels[0].shape[1:], complex)
+        for l, level in enumerate(levels):
+            T[l, : len(level)] = level
+    L, K, m, _ = T.shape
     w, V = _gram_eig(T)
-    s = np.sqrt(np.clip(w, 0.0, None))
-    C = (V * np.cos(s)) @ V.conj().T
-    S = (V * np.sin(s)) @ V.conj().T
-    C = (C + C.conj().T) / 2.0
-    S = (S + S.conj().T) / 2.0
-    if w[0] <= tol.tol_psd * max(w[-1], 1.0):
-        return C, S, None
-    inv = (V * (1.0 / s)) @ V.conj().T
-    return C, S, T @ inv
+    VH = V.conj().swapaxes(-1, -2)
+    s = np.sqrt(np.maximum(w, 0.0))  # as np.clip(w, 0.0, None), minus its Python wrapper
+    C = (V * np.cos(s)[:, None]) @ VH
+    S = (V * np.sin(s)[:, None]) @ VH
+    C = (C + C.conj().swapaxes(-1, -2)) / 2.0
+    S = (S + S.conj().swapaxes(-1, -2)) / 2.0
+    singular = w[:, 0] <= tol.tol_psd * np.maximum(w[:, -1], 1.0)
+    # a singular level divides by 1 + s, never by a zero angle
+    inv = (V * (1.0 / (s + singular[:, None]))[:, None]) @ VH
+    Zh = T.reshape(L, K * m, m) @ inv
+    Zt = Zh.reshape(T.shape)
+    return _Angles(
+        C, S, singular, Zt, Zt.conj().swapaxes(-1, -2), Zh @ (np.eye(m) - C), Zh @ S
+    )
+
+
+def _closed_V(a, l, k):
+    """Closed-form ``V_j`` of level ``l`` of :class:`_Angles` ``a``, which
+    holds ``k = j - 1`` blocks; raises :class:`SingularAngleError` when its
+    angle is singular.
+
+    ``Zh^dag`` enters as the stack of its ``m x m`` blocks: the batched
+    products then round every block exactly as an ``m x m`` product does,
+    which one wide product over ``Zh^dag`` does not (with NumPy's OpenBLAS,
+    for ``m = 2, 3``).
+    """
+    if a.singular[l]:
+        raise SingularAngleError(
+            "build_Vjnm: matrix angle is singular; use method='exp'"
+        )
+    m = a.C.shape[-1]
+    last = k * m
+    ZtH = a.ZtH[l, :k]
+    V = np.empty((last + m, last + m), dtype=complex)
+    cols = a.ZhImC[l, :last] @ ZtH
+    V[:last, :last] = np.eye(last) - cols.transpose(1, 0, 2).reshape(last, last)
+    V[:last, last:] = a.ZhS[l, :last]
+    V[last:, :last] = (-a.S[l] @ ZtH).transpose(1, 0, 2).reshape(m, last)
+    V[last:, last:] = a.C[l]
+    return V
 
 
 def block_angle(Zs, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Matrix angle ``Xi = sqrt(sum_k Z_k^dag Z_k)`` of a block vector."""
     T, _ = _as_blocks(Zs, who="block_angle")
-    w, V = _gram_eig(T)
+    (w,), (V,) = _gram_eig(T[None])
     Xi = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.conj().T
     return (Xi + Xi.conj().T) / 2.0
 
@@ -161,12 +237,12 @@ def normalize_blocks(Zs, tol: Tolerances = DEFAULT_TOL):
     regime only the exponential path is defined.
     """
     T, _ = _as_blocks(Zs, who="normalize_blocks")
-    _, _, Zt = _angle_data(T, tol)
-    if Zt is None:
+    a = _angle_data((T,), tol)
+    if a.singular[0]:
         raise SingularAngleError(
             "normalize_blocks: matrix angle is singular; use the exponential path"
         )
-    return list(Zt)
+    return list(a.Zt[0])
 
 
 def build_Xj_block(Zs, n: int, j: int, m: int) -> np.ndarray:
@@ -203,30 +279,7 @@ def build_Vjnm(Zs, j: int, m: int, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     T, m = _as_blocks(Zs, m, "build_Vjnm", j)
     if not np.any(T):
         return np.eye(j * m, dtype=complex)
-    return _closed_Vj(T, tol)
-
-
-def _closed_Vj(T, tol):
-    """Closed-form ``V_j`` of a validated, nonzero level stack ``T``."""
-    C, S, Zt = _angle_data(T, tol)
-    if Zt is None:
-        raise SingularAngleError(
-            "build_Vjnm: matrix angle is singular; use method='exp'"
-        )
-    # Zh^dag enters as the stack of its m x m blocks: the batched products
-    # then round every block exactly as an m x m product does, which one
-    # wide product over Zh^dag does not (with NumPy's OpenBLAS, for m = 2, 3).
-    k, m, _ = T.shape
-    last = k * m
-    Zh = Zt.reshape(last, m)
-    ZtH = Zt.conj().transpose(0, 2, 1)
-    V = np.empty((last + m, last + m), dtype=complex)
-    cols = (Zh @ (np.eye(m) - C)) @ ZtH
-    V[:last, :last] = np.eye(last) - cols.transpose(1, 0, 2).reshape(last, last)
-    V[:last, last:] = Zh @ S
-    V[last:, :last] = (-S @ ZtH).transpose(1, 0, 2).reshape(m, last)
-    V[last:, last:] = C
-    return V
+    return _closed_V(_angle_data((T,), tol), 0, j - 1)
 
 
 def build_Ajnm(
@@ -245,19 +298,21 @@ def build_Ajnm(
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}")
     T, m = _as_blocks(Zs, m, "build_Ajnm", j)
+    return _level_A(T, n, method, tol)
+
+
+def _level_A(T, n, method, tol):
+    """``A_j`` of a validated level stack ``T`` (``j = len(T) + 1``)."""
+    k, m, _ = T.shape
     if not np.any(T):
         return np.eye(n * m, dtype=complex)
-    if method == "exp":
-        return expm_skew(_generator(T, n), tol)
-    try:
-        V = _closed_Vj(T, tol)
-    except SingularAngleError:
-        if method == "auto":
-            return expm_skew(_generator(T, n), tol)
-        raise
-    A = np.eye(n * m, dtype=complex)
-    A[: j * m, : j * m] = V
-    return A
+    if method != "exp":
+        a = _angle_data((T,), tol)
+        if not (method == "auto" and a.singular[0]):
+            A = np.eye(n * m, dtype=complex)
+            A[: (k + 1) * m, : (k + 1) * m] = _closed_V(a, 0, k)
+            return A
+    return expm_skew(_generator(T, n), tol)
 
 
 @dataclass(frozen=True)
@@ -326,12 +381,14 @@ def build_core(lambdas, local_unitaries, n: int, m: int, tol: Tolerances = DEFAU
 
 
 def _core(lambdas, unitaries):
-    """The core ``D(Lambda_1 | ... | Lambda_n)`` of validated inputs."""
-    m = len(unitaries[0])
-    D = np.zeros((len(lambdas), len(lambdas)), dtype=complex)
-    for k, U in enumerate(unitaries):
-        L = (U * lambdas[k * m : (k + 1) * m]) @ U.conj().T
-        D[k * m : (k + 1) * m, k * m : (k + 1) * m] = (L + L.conj().T) / 2.0
+    """The core ``D(Lambda_1 | ... | Lambda_n)`` of validated inputs, its
+    blocks built as one ``(n, m, m)`` stack."""
+    n, m = len(unitaries), len(unitaries[0])
+    U = np.array(unitaries)
+    L = (U * lambdas.reshape(n, 1, m)) @ U.conj().swapaxes(-1, -2)
+    D = np.zeros((n * m, n * m), dtype=complex)
+    k = np.arange(n)
+    D.reshape(n, m, n, m)[k, :, k] = (L + L.conj().swapaxes(-1, -2)) / 2.0
     return D
 
 
@@ -408,17 +465,15 @@ def assemble_rho_block(
     n, m = p.n, p.m
     D = _core(p.lambdas, p.local_unitaries)
     U = np.eye(n * m, dtype=complex)
+    if p.blockvecs and method != "exp":
+        a = _angle_data(p.blockvecs, tol)
     for j, T in enumerate(p.blockvecs, start=2):
         if not np.any(T):
             continue
-        if method != "exp":
-            try:
-                U[: j * m] = _closed_Vj(T, tol) @ U[: j * m]
-                continue
-            except SingularAngleError:
-                if method == "closed":
-                    raise
-        U = build_Ajnm(T, n, j, m, method, tol) @ U
+        if method == "exp" or (method == "auto" and a.singular[j - 2]):
+            U = build_Ajnm(T, n, j, m, method, tol) @ U
+        else:
+            U[: j * m] = _closed_V(a, j - 2, j - 1) @ U[: j * m]
     rho = U @ D @ U.conj().T
     rho = (rho + rho.conj().T) / 2.0
     return DensityMatrix(n, m, rho, tol)

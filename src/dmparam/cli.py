@@ -131,7 +131,10 @@ def cmd_analyze(args, tol) -> int:
     scale = max(float(np.linalg.norm(mat)), 1.0)
     trace_dev = abs(complex(np.trace(mat)) - 1.0)
     sym = (mat + mat.conj().T) / 2.0
-    eigs = np.linalg.eigvalsh(sym)
+    eigs, failure = check_states(sym, tol)
+    if failure is not None:
+        # the gate zeroes a matrix that fails it before the eigensolve
+        eigs = np.linalg.eigvalsh(sym)
     problems = []
     if herm_dev > tol.tol_herm * scale:
         problems.append(f"hermiticity deviation {herm_dev:.3e}")
@@ -145,7 +148,9 @@ def cmd_analyze(args, tol) -> int:
     purity = float(np.sum(eigs**2))
     rank = int(np.count_nonzero(eigs > tol.tol_psd))
     if not problems and n == 2:
-        structure = detect_structure(DensityMatrix(n, m, sym, tol))
+        if failure is not None:  # the checks above let non-finite entries pass
+            raise failure[1]
+        structure = detect_structure(DensityMatrix._of(n, m, sym, eigs))
     report = StateReport(
         dims=(n, m), eigenvalues=eigs, purity=purity, rank=rank, ppt=ppt,
         structure=structure,

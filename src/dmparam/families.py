@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .blocks import build_Ajnm
+from .blocks import _as_blocks, _level_A
 from .entanglement import _angle_ok, _check_angles, _circulant_margins
 from .errors import (
     BadNormalizationError,
@@ -314,11 +314,8 @@ def class3_state(n: int, m: int, Zs, tol: Tolerances = DEFAULT_TOL) -> DensityMa
     """
     if n < 2:
         raise DimensionMismatchError(f"class3_state: need n >= 2, got {n}")
-    if len(Zs) != n - 1:
-        raise DimensionMismatchError(
-            f"class3_state: expected {n - 1} blocks, got {len(Zs)}"
-        )
-    A = build_Ajnm(Zs, n, n, m, method="auto", tol=tol)
+    T, m = _as_blocks(Zs, m, "class3_state", n)
+    A = _level_A(T, n, "auto", tol)
     col = A[:, (n - 1) * m :]
     rho = (col @ col.conj().T) / m
     rho = (rho + rho.conj().T) / 2.0

@@ -118,6 +118,16 @@ class DensityMatrix:
         self.mat = mat
         self.eigenvalues = w
 
+    @classmethod
+    def _of(cls, n, m, mat, eigenvalues):
+        """The state ``mat`` that passed :func:`check_states` with ascending
+        ``eigenvalues``; neither array is copied or checked again."""
+        rho = object.__new__(cls)
+        mat.flags.writeable = False
+        eigenvalues.flags.writeable = False
+        rho.n, rho.m, rho.mat, rho.eigenvalues = n, m, mat, eigenvalues
+        return rho
+
     @property
     def dims(self):
         """The ``(n, m)`` factorization."""

@@ -330,8 +330,14 @@ class TestClass3:
         assert_allclose(rho.mat, np.diag([0, 0, 0.5, 0.5]), atol=1e-15)
 
     def test_rejects_wrong_block_count(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DimensionMismatchError, match="^class3_state: expected 2 blocks, got 1$"):
             class3_state(3, 2, [np.zeros((2, 2))])
+        with pytest.raises(DimensionMismatchError, match="^class3_state: expected 1 blocks, got 0$"):
+            class3_state(2, 2, [])
+
+    def test_names_itself_for_a_bad_block(self):
+        with pytest.raises(DimensionMismatchError, match="^class3_state: block 0 has size 2"):
+            class3_state(2, 3, [np.eye(2)])
 
 
 class TestNonabelianBloch:

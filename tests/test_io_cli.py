@@ -246,6 +246,26 @@ class TestCliAnalyze:
         write_matrix(path, np.eye(4) / 4.0, "matrix_text")
         assert main(["analyze", str(path)]) == 2
 
+    def test_trace_off_prints_its_own_spectrum(self, tmp_path, capsys):
+        # the state gate zeroes a matrix that fails it; the report must not
+        path = tmp_path / "bad.json"
+        write_matrix(path, np.diag([0.9, 0.6]), "json", n=2, m=1)
+        assert main(["analyze", str(path)]) == 4
+        text = capsys.readouterr().out
+        assert "eigenvalues   0.59999999999999998 0.90000000000000002" in text
+        assert "trace deviates from 1 by 5.000e-01" in text
+
+    def test_non_finite_entry_exits_2(self, tmp_path, capsys):
+        # a NaN on the diagonal passes the report's own checks; the gate stops it
+        mat = np.eye(4) / 4.0
+        mat[0, 0] = np.nan
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps({"n": 2, "m": 2, "matrix": mat.tolist()}))
+        assert main(["analyze", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "input error: matrix contains non-finite entries" in err
+
 
 class TestCliReproduce:
     @pytest.mark.parametrize(

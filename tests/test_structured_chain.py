@@ -1,8 +1,8 @@
 """The structured chain: each level touches only the rows its factor acts on.
 
 The oracles are the forms the chain no longer builds: the exponential of the
-full generator, ``V_j`` filled block by block, and the product of embedded
-``n x n`` factors.
+full generator, ``V_j`` filled block by block, the product of embedded
+``n x n`` factors, and the chain that decomposes one level at a time.
 """
 
 import numpy as np
@@ -13,6 +13,7 @@ from dmparam import (
     SingleParams,
     assemble_rho_block,
     assemble_rho_single,
+    build_Ajnm,
     build_Vjn,
     build_Vjnm,
     build_Xj_block,
@@ -34,7 +35,8 @@ def test_block_closed_form_is_top_left_of_exponential(j, m):
 
 def _blockwise_Vjnm(Zs, j, m):
     """``V_j`` filled one ``m x m`` block at a time, from the same angle data."""
-    C, S, Zt = _angle_data(np.stack(Zs), DEFAULT_TOL)
+    a = _angle_data((np.stack(Zs),), DEFAULT_TOL)
+    C, S, Zt = a.C[0], a.S[0], a.Zt[0]
     V = np.eye(j * m, dtype=complex)
     ImC = np.eye(m, dtype=complex) - C
     last = (j - 1) * m
@@ -141,3 +143,93 @@ def test_auto_takes_exp_on_near_singular_angle(seed):
     auto = assemble_rho_block(p)
     exact = assemble_rho_block(p, method="exp")
     assert np.max(np.abs(auto.mat - exact.mat)) <= 1e-12
+
+
+def _per_level_Vj(T):
+    """Closed-form ``V_j`` of one level from its own Gram eigendecomposition,
+    as the chain computed it before it batched the levels; ``None`` when the
+    angle is singular."""
+    G = sum(T.conj().transpose(0, 2, 1) @ T)
+    w, V = np.linalg.eigh((G + G.conj().T) / 2.0)
+    s = np.sqrt(np.clip(w, 0.0, None))
+    C = (V * np.cos(s)) @ V.conj().T
+    S = (V * np.sin(s)) @ V.conj().T
+    C = (C + C.conj().T) / 2.0
+    S = (S + S.conj().T) / 2.0
+    if w[0] <= DEFAULT_TOL.tol_psd * max(w[-1], 1.0):
+        return None
+    Zt = T @ ((V * (1.0 / s)) @ V.conj().T)
+    k, m, _ = T.shape
+    last = k * m
+    Zh = Zt.reshape(last, m)
+    ZtH = Zt.conj().transpose(0, 2, 1)
+    Vj = np.empty((last + m, last + m), dtype=complex)
+    cols = (Zh @ (np.eye(m) - C)) @ ZtH
+    Vj[:last, :last] = np.eye(last) - cols.transpose(1, 0, 2).reshape(last, last)
+    Vj[:last, last:] = Zh @ S
+    Vj[last:, :last] = (-S @ ZtH).transpose(1, 0, 2).reshape(m, last)
+    Vj[last:, last:] = C
+    return Vj
+
+
+def _per_level_rho(p, method):
+    """``assemble_rho_block(p, method=method).mat`` one level at a time."""
+    n, m = p.n, p.m
+    D = np.zeros((n * m, n * m), dtype=complex)
+    for k, U in enumerate(p.local_unitaries):
+        L = (U * p.lambdas[k * m : (k + 1) * m]) @ U.conj().T
+        D[k * m : (k + 1) * m, k * m : (k + 1) * m] = (L + L.conj().T) / 2.0
+    U = np.eye(n * m, dtype=complex)
+    for j, T in enumerate(p.blockvecs, start=2):
+        if not np.any(T):
+            continue
+        Vj = None if method == "exp" else _per_level_Vj(T)
+        if Vj is None:
+            U = expm_skew(build_Xj_block(T, n, j, m)) @ U
+        else:
+            U[: j * m] = Vj @ U[: j * m]
+    rho = U @ D @ U.conj().T
+    return (rho + rho.conj().T) / 2.0
+
+
+def _chain_params(n, m, seed, singular_top=False, zero_level=None):
+    p = rand_block_params(np.random.default_rng(seed), n, m)
+    vecs = list(p.blockvecs)
+    if singular_top:
+        vecs[-1] = _common_kernel_params(seed).blockvecs[-1]
+    if zero_level is not None:
+        vecs[zero_level - 2] = np.zeros_like(vecs[zero_level - 2])
+    return BlockParams(n, m, p.lambdas, p.local_unitaries, tuple(vecs))
+
+
+@pytest.mark.parametrize(
+    "n,m,singular_top,zero_level",
+    [
+        (1, 2, False, None),
+        (2, 3, False, None),
+        (6, 1, False, None),
+        (8, 4, True, 4),
+        (8, 8, False, None),
+        (16, 4, False, 9),
+        (32, 2, False, None),
+    ],
+)
+def test_batched_levels_equal_per_level_chain_bitwise(n, m, singular_top, zero_level):
+    p = _chain_params(n, m, 80 + n + m, singular_top, zero_level)
+    assert np.array_equal(assemble_rho_block(p).mat, _per_level_rho(p, "auto"))
+
+
+@pytest.mark.parametrize("method", ["closed", "exp", "auto"])
+def test_each_method_equals_per_level_chain_bitwise(method):
+    p = _chain_params(3, 3, 90)
+    assert np.array_equal(assemble_rho_block(p, method=method).mat, _per_level_rho(p, method))
+
+
+@pytest.mark.parametrize("j,m", [(2, 1), (2, 3), (7, 1), (5, 3), (16, 4)])
+def test_single_level_layers_equal_per_level_form_bitwise(j, m):
+    rng = np.random.default_rng(100 + j + m)
+    T = np.stack([rand_complex(rng, (m, m)) for _ in range(j - 1)])
+    Vj = _per_level_Vj(T)
+    assert np.array_equal(build_Vjnm(T, j, m), Vj)
+    A = build_Ajnm(T, j + 1, j, m)
+    assert np.array_equal(A[: j * m, : j * m], Vj)

@@ -16,15 +16,19 @@ from dmparam import (
     build_Ajnm,
     build_core,
     build_Vjnm,
+    class3_state,
     hankel_state,
+    isotropic,
     matfun_psd,
     nonabelian_bloch,
     toeplitz_state,
     two_by_m,
 )
-from dmparam import blocks
+from dmparam import blocks, families
 from dmparam._random import rand_block_params, rand_complex, rand_psd, rand_unitary
+from dmparam.cli import main
 from dmparam.families import _two_by_m_blocks
+from dmparam.io import write_matrix
 
 
 @pytest.fixture
@@ -98,7 +102,9 @@ def test_assembly_runs_only_the_state_gate(n, m, calls):
     assert calls["unitary"] == 0
     assert calls["as_blocks"] == 0
     assert calls["eigvalsh"] == 1
-    assert len(calls["eigh"]) == n - 1  # one Gram eigendecomposition per level
+    # one Gram eigendecomposition for all levels, on their (n - 1, m, m) stack
+    assert len(calls["eigh"]) == 1
+    assert calls["eigh"][0].shape == (n - 1, m, m)
 
 
 @pytest.mark.parametrize("method", ["closed", "exp", "auto"])
@@ -118,11 +124,36 @@ def test_build_Ajnm_stacks_its_blocks_once(method, singular, calls):
 
 @pytest.mark.parametrize(
     "n,m,singular_top,zero_level",
-    [(2, 2, False, None), (3, 3, False, None), (8, 4, True, 4), (5, 1, False, None)],
+    [
+        (1, 3, False, None),
+        (2, 2, False, None),
+        (2, 3, False, None),
+        (3, 3, False, None),
+        (5, 1, False, None),
+        (8, 4, True, 4),
+        (8, 8, False, None),
+        (16, 4, False, None),
+        (32, 2, False, None),
+    ],
 )
 def test_assembly_equals_public_layers_bitwise(n, m, singular_top, zero_level):
     p = _params(n, m, seed=10 * n + m, singular_top=singular_top, zero_level=zero_level)
     assert np.array_equal(assemble_rho_block(p).mat, _rebuilt(p))
+
+
+def test_class3_state_stacks_its_blocks_once(calls, monkeypatch):
+    monkeypatch.setattr(families, "_as_blocks", blocks._as_blocks)  # the counted one
+    Zs = [rand_complex(np.random.default_rng(4), (2, 2)) for _ in range(2)]
+    class3_state(3, 2, Zs)
+    assert calls["as_blocks"] == 1
+
+
+def test_analyze_runs_the_state_gate_once(tmp_path, calls):
+    path = tmp_path / "rho.json"
+    write_matrix(path, isotropic(0.2).mat, n=2, m=2)
+    calls["eigvalsh"] = 0
+    assert main(["analyze", str(path)]) == 0
+    assert calls["eigvalsh"] == 2  # the state gate and the partial transpose
 
 
 def test_singular_top_level_takes_the_exp_fallback():
