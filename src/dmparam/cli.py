@@ -4,8 +4,7 @@ Subcommands::
 
     dmparam generate  params.json -o rho.json [--format json|matrix_text]
     dmparam analyze   rho.json --n 2 --m 2
-    dmparam reproduce {pure_P,isotropic_threshold,circulant_pi12,bell_boundary,
-                       toeplitz_demo,hankel_demo,class3_projector,all}
+    dmparam reproduce all              (or one name of ``validate.EXAMPLES``)
     dmparam sweep     --family isotropic_alpha --grid p=0:1:50
                       --grid alpha=0:1.5707963267948966:50 -o sweep.csv
     dmparam validate  --seed 42 --trials 100
@@ -14,6 +13,8 @@ Exit codes: 0 ok, 2 input error, 3 numerical failure, 4 not a state, 5 check
 mismatch; a usage error raises ``SystemExit(2)``.  Output, with 17 significant
 digits, is a deterministic function of the inputs and ``--seed``.  ``main``
 builds its parser once and looks up the ``cmd_*`` handler per call (a rebound one runs).
+The worked examples of ``reproduce`` and the invariants of ``validate`` live
+in :mod:`dmparam.validate`; this module parses arguments and prints results.
 """
 
 from __future__ import annotations
@@ -28,8 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _random as rnd
-from .blocks import BlockParams, assemble_rho_block, normalize_blocks
+from .blocks import BlockParams, assemble_rho_block
 from .entanglement import (
     BOUNDARY_BAND,
     PptReport,
@@ -43,23 +43,12 @@ from .errors import (
     NotPsdError,
     SingularAngleError,
 )
-from .families import (
-    FAMILIES,
-    bell_diagonal,
-    build_family,
-    circulant_rho,
-    class3_state,
-    hankel_state,
-    isotropic,
-    nonabelian_sphere_check,
-    pure_P,
-    toeplitz_state,
-)
+from .families import FAMILIES, build_family
 from .io import ParamFileError, fmt_float, load_param_file, read_matrix, write_matrix
-from .linalg import DEFAULT_TOL, TRACE_TOL, Tolerances, polar
+from .linalg import DEFAULT_TOL, TRACE_TOL, Tolerances
 from .single import SingleParams, assemble_rho_single
 from .states import DensityMatrix, check_states
-from .validate import run_validation, serialize_counterexample
+from .validate import EXAMPLES, run_validation, serialize_counterexample
 
 __all__ = ["main", "StateReport"]
 
@@ -166,150 +155,19 @@ def cmd_analyze(args, tol) -> int:
     return EXIT_OK
 
 
-class _Reproducer:
-    """Worked-example checks: prints expected vs computed, collects failures."""
-
-    def __init__(self, tol, seed):
-        self.tol = tol
-        self.seed = seed
-        self.failed = []
-
-    def check(self, name, expected, computed, tolerance):
-        ok = abs(expected - computed) <= tolerance
-        status = "ok" if ok else "MISMATCH"
-        print(
-            f"  {name}: expected {fmt_float(expected)}  computed {fmt_float(computed)}"
-            f"  [{status}]"
-        )
-        if not ok:
-            self.failed.append(name)
-
-    def check_flag(self, name, expected, computed):
-        ok = bool(expected) == bool(computed)
-        status = "ok" if ok else "MISMATCH"
-        print(f"  {name}: expected {expected}  computed {computed}  [{status}]")
-        if not ok:
-            self.failed.append(name)
-
-    # -- individual examples -------------------------------------------------
-
-    def pure_P(self):
-        print("pure_P: rank-1 projector family")
-        rho = pure_P(np.pi / 4, self.tol)
-        expected = np.zeros((4, 4))
-        expected[0, 0] = expected[3, 3] = expected[0, 3] = expected[3, 0] = 0.5
-        self.check(
-            "matrix at alpha=pi/4", 0.0,
-            float(np.max(np.abs(rho.mat - expected))), 1e-12,
-        )
-        self.check(
-            "idempotence", 0.0,
-            float(np.linalg.norm(rho.mat @ rho.mat - rho.mat)), 1e-12,
-        )
-        self.check(
-            "min PT eigenvalue", -0.5,
-            ppt_check(rho, self.tol).min_pt_eig, 1e-10,
-        )
-
-    def isotropic_threshold(self):
-        print("isotropic_threshold: PPT boundary at p = 1/3")
-        for p in (0.0, 0.2, 1.0 / 3.0, 0.7, 1.0):
-            got = ppt_check(isotropic(p, self.tol), self.tol).min_pt_eig
-            self.check(f"min PT eig at p={p:g}", (1.0 - 3.0 * p) / 4.0, got, 1e-12)
-        below = ppt_check(isotropic(1.0 / 3.0 - 1e-10, self.tol), self.tol).min_pt_eig
-        above = ppt_check(isotropic(1.0 / 3.0 + 1e-10, self.tol), self.tol).min_pt_eig
-        self.check_flag("sign(min PT) at p = 1/3 - 1e-10 is +", True, below > 0)
-        self.check_flag("sign(min PT) at p = 1/3 + 1e-10 is -", True, above < 0)
-
-    def circulant_pi12(self):
-        print("circulant_pi12: separable window in alpha at the worked point")
-        p = (0.125, 0.125, 0.125, 0.625)
-        beta = np.pi / 3
-        lo = ppt_check(circulant_rho(p, np.pi / 12 - 1e-6, beta, self.tol), self.tol)
-        hi = ppt_check(circulant_rho(p, np.pi / 12 + 1e-3, beta, self.tol), self.tol)
-        self.check_flag("PPT at alpha = pi/12 - 1e-6", True, lo.is_ppt)
-        self.check_flag("PPT at alpha = pi/12 + 1e-3", False, hi.is_ppt)
-        for beta in np.linspace(0.0, np.pi / 2, 7):
-            rep = ppt_check(circulant_rho(p, np.pi / 12, beta, self.tol), self.tol)
-            self.check_flag(f"PPT at alpha = pi/12, beta = {beta:.3f}", True, rep.is_ppt)
-
-    def bell_boundary(self):
-        print("bell_boundary: PPT iff max_k p_k <= 1/2")
-        rho = bell_diagonal((0.5, 1.0 / 6, 1.0 / 6, 1.0 / 6), self.tol)
-        self.check("min PT eig at max p = 1/2", 0.0, ppt_check(rho, self.tol).min_pt_eig, 1e-12)
-        rho = bell_diagonal((0.55, 0.15, 0.15, 0.15), self.tol)
-        self.check("min PT eig at max p = 0.55", -0.05, ppt_check(rho, self.tol).min_pt_eig, 1e-12)
-        rng = np.random.default_rng(self.seed)
-        mismatch = 0
-        for _ in range(50):
-            p = rnd.rand_simplex(rng, 4)
-            law = max(p) <= 0.5
-            if law != ppt_check(bell_diagonal(p, self.tol), self.tol).is_ppt:
-                mismatch += 1
-        self.check("law mismatches over 50 draws", 0.0, float(mismatch), 0.0)
-
-    def toeplitz_demo(self):
-        print("toeplitz_demo: commuting-family block Toeplitz state")
-        rng = np.random.default_rng(self.seed)
-        L = rnd.rand_psd(rng, 3)
-        L /= 2.0 * np.trace(L).real
-        U = np.exp(1j * rng.uniform(0, 2 * np.pi)) * np.eye(3)
-        rho = toeplitz_state(L, U, rnd.rand_psd(rng, 3), self.tol)
-        self.check_flag("classified block_toeplitz", True,
-                        detect_structure(rho) == "block_toeplitz")
-        rep = ppt_check(rho, self.tol)
-        self.check_flag(f"PPT (min PT eig {fmt_float(rep.min_pt_eig)})", True, rep.is_ppt)
-
-    def hankel_demo(self):
-        print("hankel_demo: commuting-family block Hankel state")
-        rng = np.random.default_rng(self.seed)
-        W = rnd.rand_unitary(rng, 3)
-        d1 = rng.uniform(0.1, 1.0, 3)
-        d2 = rng.uniform(0.1, 1.0, 3)
-        total = d1.sum() + d2.sum()
-        L1 = (W * (d1 / total)) @ W.conj().T
-        L2 = (W * (d2 / total)) @ W.conj().T
-        Xi = (W * rng.uniform(0.2, 1.2, 3)) @ W.conj().T
-        U = (W * np.array([1.0, -1.0, 1.0])) @ W.conj().T
-        rho = hankel_state(U, L1, L2, Xi, self.tol)
-        self.check_flag("classified block_hankel", True,
-                        detect_structure(rho) == "block_hankel")
-        rep = ppt_check(rho, self.tol)
-        self.check_flag(f"PPT (min PT eig {fmt_float(rep.min_pt_eig)})", True, rep.is_ppt)
-
-    def class3_projector(self):
-        print("class3_projector: conjugated rank-m core is a projector")
-        rng = np.random.default_rng(self.seed)
-        n, m = 3, 2
-        Zs = rnd.rand_commuting_normal_blocks(rng, n - 1, m)
-        rho = class3_state(n, m, Zs, self.tol)
-        mr = m * rho.mat
-        self.check("idempotence residual", 0.0, float(np.linalg.norm(mr @ mr - mr)), 1e-10)
-        self.check("rank", float(m), float(rho.rank(self.tol)), 0.0)
-        Ps = [polar(Zt, self.tol)[0] for Zt in normalize_blocks(Zs, self.tol)]
-        self.check_flag("nonabelian sphere", True, nonabelian_sphere_check(Ps, self.tol))
-
-
-_EXAMPLES = (
-    "pure_P",
-    "isotropic_threshold",
-    "circulant_pi12",
-    "bell_boundary",
-    "toeplitz_demo",
-    "hankel_demo",
-    "class3_projector",
-)
-
-
 def cmd_reproduce(args, tol) -> int:
     if args.seed < 0:
         raise ParamFileError(f"seed must be >= 0, got {args.seed}")
-    names = _EXAMPLES if args.example == "all" else (args.example,)
-    rep = _Reproducer(tol, args.seed)
-    for name in names:
-        getattr(rep, name)()
-    if rep.failed:
-        print(f"FAILED checks: {', '.join(rep.failed)}")
+    failed = []
+    for name in EXAMPLES if args.example == "all" else (args.example,):
+        title, rows = EXAMPLES[name]
+        print(f"{name}: {title}")
+        for label, ok, text in rows(np.random.default_rng(args.seed), tol):
+            print("  " + text)
+            if not ok:
+                failed.append(label)
+    if failed:
+        print(f"FAILED checks: {', '.join(failed)}")
         return EXIT_MISMATCH
     print("all reproduction checks passed")
     return EXIT_OK
@@ -491,9 +349,6 @@ def cmd_sweep(args, tol) -> int:
 
 
 def cmd_validate(args, tol) -> int:
-    if args.trials < 1:
-        print(f"validate: trials must be >= 1, got {args.trials}", file=sys.stderr)
-        return EXIT_INPUT
     results = run_validation(args.seed, args.trials, tol)
     for result in results:
         print(result.line())
@@ -536,7 +391,7 @@ def _parser():
 
     r = sub.add_parser("reproduce", parents=[common],
                        help="re-derive the worked closed-form examples")
-    r.add_argument("example", choices=_EXAMPLES + ("all",))
+    r.add_argument("example", choices=[*EXAMPLES, "all"])
 
     s = sub.add_parser("sweep", parents=[common],
                        help="grid scan of a family with PPT verdicts to CSV")

@@ -1,8 +1,10 @@
-"""Randomized self-validation: every library invariant on fresh random inputs.
+"""Worked examples and randomized self-validation.
 
+:data:`EXAMPLES` maps each of the paper's worked examples, which ``dmparam
+reproduce`` prints, to a title and a generator of ``(label, ok, text)`` rows.
 :func:`run_validation` draws ``trials`` random instances per invariant
 family from a seeded generator and reports the worst residual observed.
-The report is a deterministic function of ``(seed, trials)``.
+Both reports are deterministic functions of the seed (and of ``trials``).
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .families import (
     pure_P,
     toeplitz_state,
 )
-from .io import matrix_to_nested
+from .io import fmt_float
 from .linalg import (
     DEFAULT_TOL,
     expm_skew,
@@ -44,7 +46,7 @@ from .linalg import (
 from .single import assemble_rho_single, build_Vjn, build_Xj_single
 from .states import DensityMatrix
 
-__all__ = ["run_validation", "CheckResult"]
+__all__ = ["run_validation", "CheckResult", "EXAMPLES"]
 
 
 class CheckResult:
@@ -251,13 +253,7 @@ def run_validation(seed: int, trials: int, tol=DEFAULT_TOL):
         rho_t = toeplitz_state(L, np.exp(1j * gamma) * np.eye(m), rnd.rand_psd(rng, m), tol)
         res.append(0.0 if ppt_check(rho_t, tol).is_ppt else 1.0)
         res.append(0.0 if detect_structure(rho_t) in ("block_toeplitz", "block_diagonal") else 1.0)
-        W = rnd.rand_unitary(rng, m)
-        d1 = rng.uniform(0.1, 1.0, m)
-        d2 = rng.uniform(0.1, 1.0, m)
-        total = d1.sum() + d2.sum()
-        L1 = (W * (d1 / total)) @ W.conj().T
-        L2 = (W * (d2 / total)) @ W.conj().T
-        Xi = (W * rng.uniform(0.2, 1.2, m)) @ W.conj().T
+        W, L1, L2, Xi = _hankel_inputs(rng, m)
         signs = np.where(rng.uniform(size=m) < 0.5, -1.0, 1.0)
         U = (W * signs) @ W.conj().T
         rho_h = hankel_state(U, L1, L2, Xi, tol)
@@ -272,15 +268,34 @@ def run_validation(seed: int, trials: int, tol=DEFAULT_TOL):
     for _ in range(trials):
         n = int(rng.integers(2, 4))
         m = int(rng.integers(1, 4))
-        Zs = rnd.rand_commuting_normal_blocks(rng, n - 1, m)
-        rho = class3_state(n, m, Zs, tol)
-        mr = m * rho.mat
-        res.append(np.linalg.norm(mr @ mr - mr))
-        Ps = [polar(Zt, tol)[0] for Zt in normalize_blocks(Zs, tol)]
-        res.append(0.0 if nonabelian_sphere_check(Ps, tol) else 1.0)
+        _, residual, sphere = _class3(rng, n, m, tol)
+        res += [residual, 0.0 if sphere else 1.0]
     results.append(_check("rank-m projector class", 1e-10, res))
 
     return results
+
+
+def _hankel_inputs(rng, m):
+    """Commuting ``m x m`` Hankel inputs ``(W, L1, L2, Xi)`` in the random eigenbasis ``W``."""
+    W = rnd.rand_unitary(rng, m)
+    d1 = rng.uniform(0.1, 1.0, m)
+    d2 = rng.uniform(0.1, 1.0, m)
+    total = d1.sum() + d2.sum()
+    L1 = (W * (d1 / total)) @ W.conj().T
+    L2 = (W * (d2 / total)) @ W.conj().T
+    Xi = (W * rng.uniform(0.2, 1.2, m)) @ W.conj().T
+    return W, L1, L2, Xi
+
+
+def _class3(rng, n, m, tol):
+    """A random class-3 state, its idempotence residual ``||(m rho)^2 - m rho||``
+    and whether its normalized blocks pass the nonabelian sphere check."""
+    Zs = rnd.rand_commuting_normal_blocks(rng, n - 1, m)
+    rho = class3_state(n, m, Zs, tol)
+    mr = m * rho.mat
+    residual = float(np.linalg.norm(mr @ mr - mr))
+    Ps = [polar(Zt, tol)[0] for Zt in normalize_blocks(Zs, tol)]
+    return rho, residual, nonabelian_sphere_check(Ps, tol)
 
 
 def _chain_2x2(lambdas, Z, tol):
@@ -296,11 +311,100 @@ def serialize_counterexample(result: CheckResult) -> str:
     """JSON blob identifying the first failing instance for replay."""
     payload = {"check": result.name, "worst": result.worst, "bound": result.bound}
     if result.counterexample:
-        data = {}
-        for key, value in result.counterexample.items():
-            if isinstance(value, np.ndarray):
-                data[key] = matrix_to_nested(value)
-            else:
-                data[key] = value
-        payload["instance"] = data
+        payload["instance"] = result.counterexample
     return json.dumps(payload, indent=1)
+
+
+# -- worked examples ---------------------------------------------------------
+
+
+def _near(label, expected, computed, tolerance):
+    """Row: ``computed`` lies within ``tolerance`` of ``expected``."""
+    ok = abs(expected - computed) <= tolerance
+    return label, ok, (f"{label}: expected {fmt_float(expected)}  computed {fmt_float(computed)}"
+                       f"  [{'ok' if ok else 'MISMATCH'}]")
+
+
+def _flag(label, expected, computed):
+    """Row: ``computed`` has the truth value of ``expected``."""
+    ok = bool(expected) == bool(computed)
+    return label, ok, (f"{label}: expected {expected}  computed {computed}"
+                       f"  [{'ok' if ok else 'MISMATCH'}]")
+
+
+def _projector_rows(rng, tol):
+    rho = pure_P(np.pi / 4, tol)
+    expected = np.outer([1, 0, 0, 1], [1, 0, 0, 1]) / 2.0
+    yield _near("matrix at alpha=pi/4", 0.0, float(np.max(np.abs(rho.mat - expected))), 1e-12)
+    yield _near("idempotence", 0.0, float(np.linalg.norm(rho.mat @ rho.mat - rho.mat)), 1e-12)
+    yield _near("min PT eigenvalue", -0.5, ppt_check(rho, tol).min_pt_eig, 1e-10)
+
+
+def _isotropic_rows(rng, tol):
+    for p in (0.0, 0.2, 1.0 / 3.0, 0.7, 1.0):
+        got = ppt_check(isotropic(p, tol), tol).min_pt_eig
+        yield _near(f"min PT eig at p={p:g}", (1.0 - 3.0 * p) / 4.0, got, 1e-12)
+    below = ppt_check(isotropic(1.0 / 3.0 - 1e-10, tol), tol).min_pt_eig
+    above = ppt_check(isotropic(1.0 / 3.0 + 1e-10, tol), tol).min_pt_eig
+    yield _flag("sign(min PT) at p = 1/3 - 1e-10 is +", True, below > 0)
+    yield _flag("sign(min PT) at p = 1/3 + 1e-10 is -", True, above < 0)
+
+
+def _circulant_rows(rng, tol):
+    p = (0.125, 0.125, 0.125, 0.625)
+    beta = np.pi / 3
+    lo = ppt_check(circulant_rho(p, np.pi / 12 - 1e-6, beta, tol), tol)
+    hi = ppt_check(circulant_rho(p, np.pi / 12 + 1e-3, beta, tol), tol)
+    yield _flag("PPT at alpha = pi/12 - 1e-6", True, lo.is_ppt)
+    yield _flag("PPT at alpha = pi/12 + 1e-3", False, hi.is_ppt)
+    for beta in np.linspace(0.0, np.pi / 2, 7):
+        rep = ppt_check(circulant_rho(p, np.pi / 12, beta, tol), tol)
+        yield _flag(f"PPT at alpha = pi/12, beta = {beta:.3f}", True, rep.is_ppt)
+
+
+def _bell_rows(rng, tol):
+    rho = bell_diagonal((0.5, 1.0 / 6, 1.0 / 6, 1.0 / 6), tol)
+    yield _near("min PT eig at max p = 1/2", 0.0, ppt_check(rho, tol).min_pt_eig, 1e-12)
+    rho = bell_diagonal((0.55, 0.15, 0.15, 0.15), tol)
+    yield _near("min PT eig at max p = 0.55", -0.05, ppt_check(rho, tol).min_pt_eig, 1e-12)
+    draws = (rnd.rand_simplex(rng, 4) for _ in range(50))
+    mismatch = sum((max(p) <= 0.5) != ppt_check(bell_diagonal(p, tol), tol).is_ppt for p in draws)
+    yield _near("law mismatches over 50 draws", 0.0, float(mismatch), 0.0)
+
+
+def _toeplitz_rows(rng, tol):
+    L = rnd.rand_psd(rng, 3)
+    L /= 2.0 * np.trace(L).real
+    U = np.exp(1j * rng.uniform(0, 2 * np.pi)) * np.eye(3)
+    rho = toeplitz_state(L, U, rnd.rand_psd(rng, 3), tol)
+    yield _flag("classified block_toeplitz", True, detect_structure(rho) == "block_toeplitz")
+    rep = ppt_check(rho, tol)
+    yield _flag(f"PPT (min PT eig {fmt_float(rep.min_pt_eig)})", True, rep.is_ppt)
+
+
+def _hankel_rows(rng, tol):
+    W, L1, L2, Xi = _hankel_inputs(rng, 3)
+    rho = hankel_state((W * np.array([1.0, -1.0, 1.0])) @ W.conj().T, L1, L2, Xi, tol)
+    yield _flag("classified block_hankel", True, detect_structure(rho) == "block_hankel")
+    rep = ppt_check(rho, tol)
+    yield _flag(f"PPT (min PT eig {fmt_float(rep.min_pt_eig)})", True, rep.is_ppt)
+
+
+def _class3_rows(rng, tol):
+    rho, residual, sphere = _class3(rng, 3, 2, tol)
+    yield _near("idempotence residual", 0.0, residual, 1e-10)
+    yield _near("rank", 2.0, float(rho.rank(tol)), 0.0)
+    yield _flag("nonabelian sphere", True, sphere)
+
+
+#: The paper's worked examples, in the order ``reproduce all`` runs them:
+#: name -> (title, rows).  ``rows(rng, tol)`` yields ``(label, ok, text)``.
+EXAMPLES = {
+    "pure_P": ("rank-1 projector family", _projector_rows),
+    "isotropic_threshold": ("PPT boundary at p = 1/3", _isotropic_rows),
+    "circulant_pi12": ("separable window in alpha at the worked point", _circulant_rows),
+    "bell_boundary": ("PPT iff max_k p_k <= 1/2", _bell_rows),
+    "toeplitz_demo": ("commuting-family block Toeplitz state", _toeplitz_rows),
+    "hankel_demo": ("commuting-family block Hankel state", _hankel_rows),
+    "class3_projector": ("conjugated rank-m core is a projector", _class3_rows),
+}

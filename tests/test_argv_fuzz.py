@@ -20,9 +20,10 @@ import numpy as np
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
-from dmparam.cli import _EXAMPLES, main
+from dmparam.cli import main
 from dmparam.families import FAMILIES, isotropic
 from dmparam.io import write_matrix
+from dmparam.validate import EXAMPLES
 
 JUNK = st.sampled_from(["", "x", "-", "1.5", "nan", "inf", "-inf", "1e400", "=", ":", ","])
 NUMBER = st.floats().map(repr) | st.integers(-3, 3).map(str) | JUNK
@@ -81,7 +82,7 @@ def valid_argvs(draw):
         argv = draw(st.sampled_from([["@rho.json"], ["@rho.txt", "--n", "2", "--m", "2"],
                                      ["@nostate.json"]]))
     elif command == "reproduce":
-        argv = [draw(st.sampled_from(_EXAMPLES))]
+        argv = [draw(st.sampled_from(list(EXAMPLES)))]
     elif command == "sweep":
         family = draw(st.sampled_from(sorted(SWEEPS)))
         k = str(draw(st.integers(1, 20)))

@@ -1,12 +1,16 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import dmparam.validate
 from dmparam import BlockParams, FamilySpec, SingleParams, isotropic
 from dmparam.cli import main
+from dmparam.errors import NotPsdError
+from dmparam.validate import EXAMPLES
 from dmparam.io import (
     ParamFileError,
     load_param_file,
@@ -268,14 +272,52 @@ class TestCliAnalyze:
 
 
 class TestCliReproduce:
-    @pytest.mark.parametrize(
-        "example",
-        ["pure_P", "isotropic_threshold", "circulant_pi12", "bell_boundary",
-         "toeplitz_demo", "hankel_demo", "class3_projector"],
-    )
+    NAMES = ["pure_P", "isotropic_threshold", "circulant_pi12", "bell_boundary",
+             "toeplitz_demo", "hankel_demo", "class3_projector"]
+
+    @pytest.mark.parametrize("example", NAMES)
     def test_each_example_passes(self, example, capsys):
         assert main(["reproduce", example]) == 0
         assert "MISMATCH" not in capsys.readouterr().out
+
+    def test_all_runs_the_examples_in_order(self):
+        assert list(EXAMPLES) == self.NAMES
+
+    def test_mismatch_exits_5(self, monkeypatch, capsys):
+        real = dmparam.validate.ppt_check
+        monkeypatch.setattr(
+            dmparam.validate, "ppt_check",
+            lambda rho, tol: dataclasses.replace(real(rho, tol), min_pt_eig=1.0),
+        )
+        assert main(["reproduce", "bell_boundary"]) == 5
+        out = capsys.readouterr().out
+        assert "  min PT eig at max p = 1/2: expected 0  computed 1  [MISMATCH]\n" in out
+        assert "law mismatches over 50 draws: expected 0  computed 0  [ok]" in out
+        assert out.endswith(
+            "FAILED checks: min PT eig at max p = 1/2, min PT eig at max p = 0.55\n")
+
+    @pytest.mark.parametrize("target, calls, last_line", [
+        ("class3_state", 0, "class3_projector: conjugated rank-m core is a projector"),
+        ("isotropic", 3, "  min PT eig at p=0.333333: "),
+    ], ids=["class3_state", "isotropic"])
+    def test_failure_mid_run_keeps_the_rows_printed(self, target, calls, last_line,
+                                                    monkeypatch, capsys):
+        assert main(["reproduce", "all"]) == 0
+        full = capsys.readouterr().out
+        real = getattr(dmparam.validate, target)
+        made = []
+
+        def fail_late(*args):
+            made.append(args)
+            if len(made) > calls:
+                raise NotPsdError("forced")
+            return real(*args)
+
+        monkeypatch.setattr(dmparam.validate, target, fail_late)
+        assert main(["reproduce", "all"]) == 3
+        out, err = capsys.readouterr()
+        assert out == full[: full.index("\n", full.index(last_line)) + 1]
+        assert err == "numerical failure: forced\n"
 
 
 class TestCliSweep:
@@ -343,8 +385,23 @@ class TestCliSweep:
 
 
 class TestCliValidate:
-    def test_zero_trials_exits_2(self):
+    def test_zero_trials_exits_2(self, capsys):
         assert main(["validate", "--trials", "0"]) == 2
+        assert capsys.readouterr().err == "input error: trials must be >= 1, got 0\n"
+
+    def test_failed_check_exits_5_with_counterexample(self, monkeypatch, capsys):
+        real = dmparam.validate.circulant_ppt_margins
+        monkeypatch.setattr(dmparam.validate, "circulant_ppt_margins",
+                            lambda *args: tuple(-x for x in real(*args)))
+        assert main(["validate", "--seed", "5", "--trials", "3"]) == 5
+        out = capsys.readouterr().out
+        assert "\nFAIL circulant analytic vs numeric " in out
+        blob = json.loads(out.split("first counterexample:\n", 1)[1])
+        assert set(blob) == {"check", "worst", "bound", "instance"}
+        assert blob["check"] == "circulant analytic vs numeric"
+        assert blob["worst"] > blob["bound"]
+        assert set(blob["instance"]) == {"p", "alpha", "beta"}
+        assert len(blob["instance"]["p"]) == 4
 
     def test_passes(self, capsys):
         assert main(["validate", "--seed", "42", "--trials", "10"]) == 0
