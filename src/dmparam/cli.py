@@ -20,8 +20,8 @@ in :mod:`dmparam.validate`; this module parses arguments and prints results.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
+import itertools
 import math
 import os
 import sys
@@ -178,6 +178,14 @@ def cmd_reproduce(args, tol) -> int:
 #: Grid points per stack: a sweep's memory follows this, not the grid size.
 _SWEEP_CHUNK = 256
 
+#: ``analytic_ppt,numeric_ppt,agreement`` of a row, indexed by
+#: ``4 * analytic + 2 * numeric + boundary``; a boundary row's agreement is
+#: ``boundary`` whatever the verdicts.
+_SWEEP_TAILS = (
+    "false,false,true", "false,false,boundary", "false,true,false", "false,true,boundary",
+    "true,false,false", "true,false,boundary", "true,true,true", "true,true,boundary",
+)
+
 
 def _parse_grid(spec):
     try:
@@ -313,32 +321,32 @@ def cmd_sweep(args, tol) -> int:
             point[key] = derive(point)
         return point
 
+    total, most = math.prod(counts), np.iinfo(np.intp).max
+    if total > most:
+        raise ParamFileError(f"sweep: the grid has {total} points, more than {most}")
+    # Axis names are parameter names and the other cells are numbers or
+    # true/false/boundary, so no cell needs CSV quoting: each chunk is one
+    # ``%`` format with 17 significant digits and csv's ``\r\n`` line ending.
     header = names + ["min_pt_eig", "analytic_margin", "analytic_ppt", "numeric_ppt", "agreement"]
-    total = math.prod(counts)
+    template = "%.17g," * (len(names) + 2) + "%s\r\n"
     try:
         fh = open(args.output, "w", newline="", encoding="utf-8")
     except OSError as exc:
         raise ParamFileError(f"cannot write {args.output}: {exc}") from exc
     try:
         with fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
+            fh.write(",".join(header) + "\r\n")
             for start in range(0, total, _SWEEP_CHUNK):
                 rows = np.arange(start, min(start + _SWEEP_CHUNK, total))
                 point, min_pt = _sweep_chunk(family, point_at, rows, tol)
                 margin = family.margin(*(point[k] for k in family.params))
                 margin = np.broadcast_to(margin, rows.shape)
-                analytic = margin >= 0.0
-                numeric = min_pt >= -tol.tol_psd
-                agreement = np.where(np.abs(margin) < BOUNDARY_BAND, "boundary",
-                                     np.where(analytic == numeric, "true", "false"))
+                tail = (4 * (margin >= 0.0) + 2 * (min_pt >= -tol.tol_psd)
+                        + (np.abs(margin) < BOUNDARY_BAND))
                 numbers = [point[name] for name in names] + [min_pt, margin]
-                writer.writerows(zip(
-                    *(map(fmt_float, col.tolist()) for col in numbers),
-                    np.where(analytic, "true", "false").tolist(),
-                    np.where(numeric, "true", "false").tolist(),
-                    agreement.tolist(),
-                ))
+                cells = zip(*(col.tolist() for col in numbers),
+                            map(_SWEEP_TAILS.__getitem__, tail.tolist()))
+                fh.write((template * len(rows)) % tuple(itertools.chain.from_iterable(cells)))
     except BaseException as exc:
         os.remove(args.output)  # leave no truncated CSV behind
         if isinstance(exc, DmParamError):  # named as ``build_family`` names it

@@ -52,12 +52,15 @@ def fmt_float(x: float) -> str:
 
 
 def _to_complex(obj, field):
-    if isinstance(obj, (int, float)):
-        return complex(obj)
-    if isinstance(obj, (list, tuple)) and len(obj) == 2 and all(
-        isinstance(v, (int, float)) for v in obj
-    ):
-        return complex(obj[0], obj[1])
+    try:
+        if isinstance(obj, (int, float)):
+            return complex(obj)
+        if isinstance(obj, (list, tuple)) and len(obj) == 2 and all(
+            isinstance(v, (int, float)) for v in obj
+        ):
+            return complex(obj[0], obj[1])
+    except OverflowError:  # JSON integers have no size limit
+        raise ParamFileError(f"field {field!r}: number out of float range") from None
     raise ParamFileError(f"field {field!r}: expected a number or [re, im] pair")
 
 
@@ -70,7 +73,10 @@ def _to_int(obj, field):
 def _to_real(obj, field):
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ParamFileError(f"field {field!r}: expected a real number")
-    return float(obj)
+    try:
+        return float(obj)
+    except OverflowError:  # JSON integers have no size limit
+        raise ParamFileError(f"field {field!r}: number out of float range") from None
 
 
 def _to_list(obj, field):

@@ -20,13 +20,16 @@ from dmparam._random import rand_complex, rand_psd, rand_simplex, rand_unitary
 from dmparam.cli import main
 from dmparam.families import FAMILIES
 
+#: JSON integers have no size limit; these are past the largest double.
+HUGE_INT = st.integers(min_value=2**1024, max_value=2**1100) | st.integers(
+    min_value=-(2**1100), max_value=-(2**1024))
 JSON = st.recursive(
-    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=3),
+    st.none() | st.booleans() | st.integers(-3, 3) | HUGE_INT | st.floats() | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
                                                                 max_size=2),
     max_leaves=8,
 )
-NUMBER = st.floats() | st.integers(-3, 3)
+NUMBER = st.floats() | st.integers(-3, 3) | HUGE_INT
 MATRIX = st.integers(1, 3).flatmap(
     lambda d: st.lists(st.lists(NUMBER, min_size=d, max_size=d), min_size=d, max_size=d)
 )

@@ -23,8 +23,26 @@ def _block(**fields):
 
 _SWEEP_CIRCULANT = ["--family", "circulant", "--grid", "alpha=0:1:3", "--grid", "beta=0:1:3"]
 
-# (parameter document or sweep argv, text stderr must contain)
+#: A JSON integer past the largest double.
+HUGE = 10**400
+
+# (parameter document, matrix document or sweep argv, text stderr must contain)
 CASES = {
+    "huge-family-p": (_doc("family", {"family": "isotropic", "p": HUGE}),
+                      "field 'p': number out of float range"),
+    "huge-circulant-p": (
+        _doc("family", {"family": "circulant", "p": [0.25, HUGE, 0.25, 0.25],
+                        "alpha": 0.1, "beta": 0.2}), "field 'p[1]': number out of float range"),
+    "huge-two_by_m-U": (
+        _doc("family", {"family": "two_by_m", "U": [[1, 0], [0, [0.0, HUGE]]],
+                        "L1": [[0.25, 0], [0, 0.25]], "L2": [[0.25, 0], [0, 0.25]],
+                        "Xi2": [[1, 0], [0, 1]]}), "field 'U': number out of float range"),
+    "huge-single-lambdas": (
+        _doc("single", {"lambdas": [0.6, HUGE], "zvecs": [[[0.3, 0.1]]]}),
+        "field 'lambdas': number out of float range"),
+    "huge-matrix-entry": (
+        {"schema_version": "1", "n": 1, "m": 1, "matrix": [[[HUGE, 0.0]]]},
+        "field 'matrix': number out of float range"),
     "family-p-object": (_doc("family", {"family": "isotropic", "p": {"a": 1}}), "'p'"),
     "class3-Z-int": (_doc("family", {"family": "class3", "n": 2, "m": 1, "Z": 5}), "'Z'"),
     "block-unitaries-int": (_block(local_unitaries=3), "'local_unitaries'"),
@@ -55,6 +73,13 @@ CASES = {
     "sweep-set-nan": (
         ["--family", "isotropic_alpha", "--grid", "p=0:1:3", "--set", "alpha=nan"],
         "bad --set 'alpha=nan'"),
+    "sweep-grid-past-intp": (
+        ["--family", "pure_P", "--grid", "alpha=0:1:100000000000000000000"],
+        "sweep: the grid has 100000000000000000000 points, more than"),
+    "sweep-grid-product-past-intp": (
+        ["--family", "isotropic_alpha", "--grid", "p=0:1:10000000000",
+         "--grid", "alpha=0:1:10000000000"],
+        "sweep: the grid has 100000000000000000000 points, more than"),
     "sweep-set-reals-inf": (
         ["--family", "circulant", "--grid", "alpha=0:1:3", "--grid", "beta=0:1:3",
          "--set", "p=0.5,inf,0,0"], "bad --set 'p=0.5,inf,0,0'"),
@@ -69,15 +94,16 @@ CASES = {
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_exits_2_and_names_field(case, tmp_path, capsys):
     doc, field = CASES[case]
-    out = str(tmp_path / "out")
+    out = tmp_path / "out"
     if isinstance(doc, dict):
         src = tmp_path / "params.json"
         src.write_text(json.dumps(doc))
-        argv = ["generate", str(src), "-o", out]
+        argv = ["analyze", str(src)] if "matrix" in doc else ["generate", str(src), "-o", str(out)]
     else:
-        argv = ["sweep", *doc, "-o", out]
+        argv = ["sweep", *doc, "-o", str(out)]
     assert main(argv) == 2
     assert field in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_failed_sweep_leaves_no_file(tmp_path, capsys):

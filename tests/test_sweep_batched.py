@@ -1,17 +1,22 @@
 """``dmparam sweep`` evaluates its grid in stacks of grid points; every row
-must equal the family's scalar constructor and margin at that point."""
+must equal the family's scalar constructor and margin at that point, and
+the file must equal, byte for byte, one written per point by ``csv.writer``."""
 
 import csv
 import gc
+import io
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from dmparam.cli import _SWEEP_CHUNK, _axis_values, main
-from dmparam.entanglement import partial_transpose, ppt_check, pt_spectrum
+from dmparam.entanglement import BOUNDARY_BAND, partial_transpose, ppt_check, pt_spectrum
 from dmparam.errors import DmParamError, OutOfRangeError
 from dmparam.families import FAMILIES, Family, _isotropic_mats
+from dmparam.io import fmt_float
+from dmparam.linalg import DEFAULT_TOL, Tolerances
 from dmparam.states import DensityMatrix, check_states
 
 HALF_PI = np.pi / 2
@@ -30,14 +35,42 @@ SHAPES = {1: (1, (1, 1)), 255: (255, (15, 17)), 256: (256, (16, 16)),
           257: (257, (257, 1)), 600: (600, (20, 30))}
 
 
-def _sweep(tmp_path, family, axes, counts, sets):
-    out = tmp_path / f"{family}.csv"
+# Grids that start on each family's PPT boundary and leave it by less than
+# the largest admissible --tol-psd: the first row reads ``boundary``, and
+# rows past the band are PPT to the numeric test but not to the margin.
+THIRD = 1.0 / 3.0
+NEAR_BOUNDARY = {
+    "pure_P": ([("alpha", 0.0, 1e-6)], []),
+    "isotropic": ([("p", THIRD, THIRD + 1e-6)], []),
+    "isotropic_alpha": ([("p", THIRD, THIRD + 1e-6), ("alpha", np.pi / 4, np.pi / 4 + 1e-6)],
+                        []),
+    "circulant": ([("alpha", 0.3, 0.3 + 1e-6), ("beta", 0.3, 0.3 + 1e-6)], ["p=0.5,0,0.5,0"]),
+    "bell_diagonal": ([("p1", 0.5, 0.5000008), ("p3", 0.0, 0.3)], ["p2=0.1"]),
+}
+LARGE_TOL_PSD = 9e-7
+
+
+def _argv(out, family, axes, counts, sets):
     argv = ["sweep", "--family", family, "-o", str(out)]
     for (name, lo, hi), count in zip(axes, counts):
         argv += ["--grid", f"{name}={lo!r}:{hi!r}:{count}"]
     for item in sets:
         argv += ["--set", item]
-    assert main(argv) == 0
+    return argv
+
+
+def _fixed(f, sets):
+    fixed = {}
+    for item in sets:
+        key, value = item.split("=")
+        reals = f.params.get(key) == "reals"
+        fixed[key] = [float(v) for v in value.split(",")] if reals else float(value)
+    return fixed
+
+
+def _sweep(tmp_path, family, axes, counts, sets):
+    out = tmp_path / f"{family}.csv"
+    assert main(_argv(out, family, axes, counts, sets)) == 0
     with open(out, newline="", encoding="utf-8") as fh:
         return list(csv.DictReader(fh))
 
@@ -51,11 +84,7 @@ def test_rows_equal_scalar_constructor(family, points, tmp_path):
     rows = _sweep(tmp_path, family, axes, counts, sets)
     assert len(rows) == points
     f = FAMILIES[family]
-    fixed = {}
-    for item in sets:
-        key, value = item.split("=")
-        reals = f.params.get(key) == "reals"
-        fixed[key] = [float(v) for v in value.split(",")] if reals else float(value)
+    fixed = _fixed(f, sets)
     for row in rows:
         point = dict(fixed)
         point.update((name, float(row[name])) for name, *_ in axes)
@@ -64,6 +93,72 @@ def test_rows_equal_scalar_constructor(family, points, tmp_path):
         values = [point[k] for k in f.params]
         assert float(row["min_pt_eig"]) == ppt_check(f.build(*values)).min_pt_eig
         assert float(row["analytic_margin"]) == f.margin(*values)
+
+
+def _expected_csv(family, axes, counts, sets, tol):
+    """The sweep's file built point by point with ``csv.writer``: coordinates
+    from ``np.linspace``, the scalar constructor's ``min_pt_eig`` and the
+    scalar margin, each as ``f"{x:.17g}"``."""
+    f = FAMILIES[family]
+    fixed = _fixed(f, sets)
+    names = [name for name, *_ in axes]
+    flag = {True: "true", False: "false"}
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(names + ["min_pt_eig", "analytic_margin", "analytic_ppt", "numeric_ppt",
+                             "agreement"])
+    lines = [np.linspace(lo, hi, count).tolist() for (_, lo, hi), count in zip(axes, counts)]
+    for coords in itertools.product(*lines):
+        point = dict(fixed, **dict(zip(names, coords)))
+        for key, derive in f.derive.items():
+            point[key] = derive(point)
+        values = [point[k] for k in f.params]
+        min_pt = ppt_check(f.build(*values, tol), tol).min_pt_eig
+        margin = float(f.margin(*values))
+        analytic, numeric = margin >= 0.0, min_pt >= -tol.tol_psd
+        agreement = "boundary" if abs(margin) < BOUNDARY_BAND else flag[analytic == numeric]
+        writer.writerow([f"{x:.17g}" for x in (*coords, min_pt, margin)]
+                        + [flag[analytic], flag[numeric], agreement])
+    return buf.getvalue().encode()
+
+
+def _sweep_and_expected_bytes(tmp_path, family, points, grids, tol_psd):
+    axes, sets = grids[family]
+    one, two = SHAPES[points]
+    counts = (one,) if len(axes) == 1 else two
+    out = tmp_path / f"{family}.csv"
+    argv = _argv(out, family, axes, counts, sets)
+    if tol_psd is not None:
+        argv += ["--tol-psd", repr(tol_psd)]
+    assert main(argv) == 0
+    tol = DEFAULT_TOL if tol_psd is None else Tolerances(tol_psd=tol_psd)
+    return out.read_bytes(), _expected_csv(family, axes, counts, sets, tol)
+
+
+@pytest.mark.parametrize("points", sorted(SHAPES))
+@pytest.mark.parametrize("family", sorted(SWEEPS))
+def test_csv_bytes_equal_an_independent_writer(family, points, tmp_path):
+    got, expected = _sweep_and_expected_bytes(tmp_path, family, points, SWEEPS, None)
+    assert got == expected
+
+
+@pytest.mark.parametrize("points", sorted(SHAPES))
+@pytest.mark.parametrize("family", sorted(NEAR_BOUNDARY))
+def test_csv_bytes_near_the_boundary(family, points, tmp_path):
+    got, expected = _sweep_and_expected_bytes(
+        tmp_path, family, points, NEAR_BOUNDARY, LARGE_TOL_PSD)
+    assert got == expected
+    if points == 600:  # every family's grid holds both kinds of row
+        assert b",boundary\r\n" in got and b",false\r\n" in got
+
+
+def test_percent_format_equals_fmt_float():
+    rng = np.random.default_rng(17)
+    bits = rng.integers(0, 2**64, size=20000, dtype=np.uint64).view(np.float64).tolist()
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-320,
+               1.7976931348623157e308, float("nan"), float("inf"), float("-inf")]
+    for x in bits + rng.standard_normal(2000).tolist() + special:
+        assert "%.17g" % x == fmt_float(x)
 
 
 @pytest.mark.parametrize("lo, hi, count", [
