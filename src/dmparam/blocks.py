@@ -21,29 +21,39 @@ The block unitary ``V_j`` (size ``jm``) has top-left part
 ``-S Zh^dag`` and corner ``C``, where ``Zh`` stacks the blocks ``Zt_k`` into
 one ``(j-1)m x m`` matrix; it equals the top-left block of ``exp(X_j)``
 exactly, which is the ground truth whenever the closed form and the
-exponential path could disagree.  ``A_j`` is the identity outside its top
-``jm`` rows and columns, so the chain skips all-zero levels and applies each
-closed-form ``V_j`` to the top ``jm`` rows of the running product only.  For
-singular ``Xi_j`` the closed form is undefined (``SingularAngleError``) and
-the exponential path must be used; ``method="auto"`` arranges that
-automatically, and that path (like ``method="exp"``) multiplies by the full
-``nm x nm`` exponential.
+exponential path could disagree.
 
-For ``m = 1`` everything reduces to :mod:`dmparam.single`, whose chain
-applies each ``V_j`` as a rank-2 update of the top ``j`` rows.
+There is one closed form for every angle, singular ones included, and no
+fallback to the exponential.  With the thin SVD ``Z = Q diag(sigma) R^dag``
+of the stacked blocks, ``Zh = Q R^dag`` is the polar factor of ``Z``,
+``C = R cos(sigma) R^dag`` and ``S = R sin(sigma) R^dag``; where ``Xi`` is
+singular the polar factor is not unique, but every choice gives the same
+``V_j``, since it enters only through ``1 - cos`` and ``sin`` of a zero
+angle.  ``V_j`` built from orthonormal ``Q`` and unitary ``R`` is unitary to
+rounding at every scale of ``Z``.  Only the public layer functions that
+return ``Zh`` itself, or promise the paper's normalization
+(``normalize_blocks``, ``build_Vjnm`` and ``method="closed"``), raise
+``SingularAngleError`` there.
+
+``A_j`` is the identity outside its top ``jm`` rows and columns, and so is
+the running product ``A_{j-1} ... A_2`` outside its top ``(j-1)m``.  So the
+chain never forms ``V_j``: it applies it as a rank-2m correction of the top
+``jm`` rows of the first ``(j-1)m`` columns, and writes the next ``m``
+columns, which is ``O(n^3 m^3)`` work in all.  For ``m = 1`` everything
+reduces to :mod:`dmparam.single`, whose chain applies each ``V_j`` as a
+rank-2 update of the top ``j`` rows.
 
 No level's matrix angle depends on another level; only the product
 ``A_n ... A_2`` is sequential.  So :func:`assemble_rho_block` computes the
-angle data of all levels in one stacked pass (one ``eigh`` of the
-``(n - 1, m, m)`` stack of Gram matrices, then ``C``, ``S`` and the
-normalized blocks with their products as stacked matmuls) and the core
-blocks ``Lambda_k`` as one ``(n, m, m)`` product; the chain then fills and
-applies each ``V_j`` level by level.  The single-level layer functions call
-the same kernel with one level, so every path rounds alike.
+factors of all levels in one pass (one batched SVD of the levels padded to
+the tallest, then the blocks of every ``V_j`` as stacked products) and the
+core blocks ``Lambda_k`` as one ``(n, m, m)`` product; the chain then
+applies the levels one by one.  The single-level layer functions call the
+same kernel with one level.
 
 Inputs are checked once.  :class:`BlockParams` stores each level as a frozen
 ``(j - 1, m, m)`` stack, and :func:`assemble_rho_block` reads it through
-kernels that check nothing (``_core``, ``_angle_data``, ``_closed_V``,
+kernels that check nothing (``_core``, ``_angle_data``, ``_chain``,
 ``_generator``), which the public layer functions call after checking their
 raw arguments.
 """
@@ -52,7 +62,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -126,123 +135,101 @@ def _as_blocks(Zs, m=None, who="block vector", j=None):
     return T, m
 
 
-def _gram_eig(T):
-    """Eigendecompositions of the Gram matrices ``sum_k Z_k^dag Z_k`` (PSD
-    by construction) of an ``(L, K, m, m)`` stack of ``L`` levels.
+def _angle_data(levels):
+    """The factors of ``V_j`` for a sequence of validated level stacks.
 
-    The products are summed one block index at a time, from the first, as a
-    single level's blocks are; zero padding adds nothing.  ``np.add.reduce``
-    would sum pairwise along a contiguous axis (``m = 1``) and round
-    differently.
+    Level ``l`` holds ``k`` blocks, stacked into the ``km x m`` matrix ``Z``
+    with the thin SVD ``Z = Q diag(sigma) R^dag``: ``Q`` has orthonormal
+    columns, ``sigma`` (descending) is the spectrum of ``Xi`` and ``R`` its
+    eigenvectors.  All SVDs are one batched call on the levels padded with
+    zero rows to the tallest; a single level is not padded.
+
+    Returns ``sigma`` ``(L, m)``, the conjugate ``Q`` ``(L, Km, m)``, and two
+    ``(L, (K + 1) m, m)`` stacks whose first ``(k + 1) m`` rows hold, per
+    level, ``M = [Q (1 - cos sigma); R sin(sigma)]`` and ``N = [Q sin(sigma)
+    R^dag; cos Xi]``, with ``cos Xi = R cos(sigma) R^dag``.
     """
-    G = sum((T.conj().swapaxes(-1, -2) @ T).swapaxes(0, 1))
-    G = (G + G.conj().swapaxes(-1, -2)) / 2.0
-    return np.linalg.eigh(G)
-
-
-class _Angles(NamedTuple):
-    """Angle data of ``L`` levels, stacked on the first axis.
-
-    Level ``l`` with ``k`` blocks fills the first ``k`` of the ``K`` block
-    slots of ``Zt`` and ``ZtH`` (``(L, K, m, m)``) and the first ``km`` rows
-    of ``ZhImC`` and ``ZhS`` (``(L, Km, m)``); zeros pad the rest.
-    ``singular`` marks levels whose ``Xi`` is singular, all-zero levels among
-    them; their normalized blocks are not defined and are never read.
-    """
-
-    C: np.ndarray  # (L, m, m) cos(Xi)
-    S: np.ndarray  # (L, m, m) sin(Xi)
-    singular: np.ndarray  # (L,)
-    Zt: np.ndarray  # the blocks Zt_k = Z_k inv(Xi)
-    ZtH: np.ndarray  # their adjoints Zt_k^dag
-    ZhImC: np.ndarray  # Zh (I - C), Zh stacking the Zt_k
-    ZhS: np.ndarray  # Zh S
-
-
-def _angle_data(levels, tol):
-    """:class:`_Angles` of a sequence of validated level stacks, in one pass.
-
-    All angles come from one stacked Gram eigendecomposition.  ``Xi`` is
-    singular when the smallest eigenvalue of the Gram matrix ``Xi^2`` is at
-    most ``tol_psd`` relative to the largest (or to one, whichever is
-    bigger).  Deciding on the angle itself would let a rounding-level Gram
-    eigenvalue of 1e-17, an angle of about 3e-9, through to the closed form,
-    which then divides by it.  Every product rounds each entry as it does for
-    one level on its own.
-    """
-    if len(levels) == 1:
-        T = levels[0][None]
+    k = [len(T) for T in levels]
+    L, K, m = len(k), max(k), levels[0].shape[-1]
+    if L == 1:
+        Z = levels[0].reshape(1, K * m, m)
     else:
-        T = np.zeros((len(levels), max(map(len, levels))) + levels[0].shape[1:], complex)
-        for l, level in enumerate(levels):
-            T[l, : len(level)] = level
-    L, K, m, _ = T.shape
-    w, V = _gram_eig(T)
-    VH = V.conj().swapaxes(-1, -2)
-    s = np.sqrt(np.maximum(w, 0.0))  # as np.clip(w, 0.0, None), minus its Python wrapper
-    C = (V * np.cos(s)[:, None]) @ VH
-    S = (V * np.sin(s)[:, None]) @ VH
-    C = (C + C.conj().swapaxes(-1, -2)) / 2.0
-    S = (S + S.conj().swapaxes(-1, -2)) / 2.0
-    singular = w[:, 0] <= tol.tol_psd * np.maximum(w[:, -1], 1.0)
-    # a singular level divides by 1 + s, never by a zero angle
-    inv = (V * (1.0 / (s + singular[:, None]))[:, None]) @ VH
-    Zh = T.reshape(L, K * m, m) @ inv
-    Zt = Zh.reshape(T.shape)
-    return _Angles(
-        C, S, singular, Zt, Zt.conj().swapaxes(-1, -2), Zh @ (np.eye(m) - C), Zh @ S
-    )
+        Z = np.zeros((L, K, m, m), dtype=complex)
+        for l, T in enumerate(levels):
+            Z[l, : k[l]] = T
+        Z = Z.reshape(L, K * m, m)
+    Q, sigma, Rh = np.linalg.svd(Z, full_matrices=False)
+    c, s = np.cos(sigma)[:, None], np.sin(sigma)[:, None]
+    R = Rh.conj().swapaxes(-1, -2)
+    C = (R * c) @ Rh
+    M = np.empty((L, K + 1, m, m), dtype=complex)
+    N = np.empty_like(M)
+    M[:, :K] = (Q * (1.0 - c)).reshape(L, K, m, m)
+    N[:, :K] = (Q @ (s.swapaxes(-1, -2) * Rh)).reshape(L, K, m, m)
+    M[np.arange(L), k] = R * s
+    N[np.arange(L), k] = (C + C.conj().swapaxes(-1, -2)) / 2.0
+    return sigma, Q.conj(), M.reshape(L, -1, m), N.reshape(L, -1, m)
 
 
-def _closed_V(a, l, k):
-    """Closed-form ``V_j`` of level ``l`` of :class:`_Angles` ``a``, which
-    holds ``k = j - 1`` blocks; raises :class:`SingularAngleError` when its
-    angle is singular.
+def _require_regular(sigma, tol, who):
+    """Raise :class:`SingularAngleError` when the spectrum ``sigma`` of a
+    nonzero level's ``Xi`` makes it singular: its smallest square is at most
+    ``tol_psd`` relative to the largest (or to one, whichever is bigger), so
+    ``Zh = Z inv(Xi)`` is not defined.  Deciding on the angle itself would
+    pass a rounding-level angle of about 3e-9."""
+    if sigma[-1] ** 2 <= tol.tol_psd * max(sigma[0] ** 2, 1.0):
+        raise SingularAngleError(f"{who}: matrix angle is singular; use method='exp'")
 
-    ``Zh^dag`` enters as the stack of its ``m x m`` blocks: the batched
-    products then round every block exactly as an ``m x m`` product does,
-    which one wide product over ``Zh^dag`` does not (with NumPy's OpenBLAS,
-    for ``m = 2, 3``).
+
+def _chain(U, levels, method, tol, who):
+    """``U = A_n ... A_2 U`` in place for validated level stacks and ``U``
+    the identity.
+
+    Before level ``j`` the product is the identity outside its top-left
+    ``km`` corner ``P`` (``k = j - 1``), so ``V_j`` only changes the first
+    ``jm`` rows of the first ``jm`` columns: with ``W = Q^dag P``, the first
+    ``km`` columns lose ``M W`` and the next ``m`` become ``N``.  That is a
+    rank-2m correction, from the paper's closed form with ``Zh = Q R^dag``
+    (the polar factor of ``Z``, defined at singular angles too), ``C = cos
+    Xi`` and ``S = sin Xi``: top-left ``I - Zh (I - C) Zh^dag``, last block
+    column ``Zh S``, last block row ``-S Zh^dag`` and corner ``C``.  It is
+    unitary to rounding at every scale, since ``Q`` and ``R`` are.  All-zero
+    levels are skipped; ``method="closed"`` raises at singular angles.
     """
-    if a.singular[l]:
-        raise SingularAngleError(
-            "build_Vjnm: matrix angle is singular; use method='exp'"
-        )
-    m = a.C.shape[-1]
-    last = k * m
-    ZtH = a.ZtH[l, :k]
-    V = np.empty((last + m, last + m), dtype=complex)
-    cols = a.ZhImC[l, :last] @ ZtH
-    V[:last, :last] = np.eye(last) - cols.transpose(1, 0, 2).reshape(last, last)
-    V[:last, last:] = a.ZhS[l, :last]
-    V[last:, :last] = (-a.S[l] @ ZtH).transpose(1, 0, 2).reshape(m, last)
-    V[last:, last:] = a.C[l]
-    return V
+    sigma, QH, M, N = _angle_data(levels)
+    m = sigma.shape[1]
+    for l, T in enumerate(levels):
+        km = len(T) * m
+        if sigma[l, 0]:
+            if method == "closed":
+                _require_regular(sigma[l], tol, who)
+            W = QH[l, :km].T @ U[:km, :km]
+            U[: km + m, :km] -= M[l, : km + m] @ W
+            U[: km + m, km : km + m] = N[l, : km + m]
+    return U
 
 
 def block_angle(Zs, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Matrix angle ``Xi = sqrt(sum_k Z_k^dag Z_k)`` of a block vector."""
-    T, _ = _as_blocks(Zs, who="block_angle")
-    (w,), (V,) = _gram_eig(T[None])
-    Xi = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.conj().T
+    T, m = _as_blocks(Zs, who="block_angle")
+    _, sigma, Rh = np.linalg.svd(T.reshape(-1, m), full_matrices=False)
+    Xi = (Rh.conj().T * sigma) @ Rh
     return (Xi + Xi.conj().T) / 2.0
 
 
 def normalize_blocks(Zs, tol: Tolerances = DEFAULT_TOL):
     """Right-normalized blocks ``Zt_k = Z_k @ inv(Xi)``.
 
-    Satisfies ``sum_k Zt_k^dag Zt_k = I``.  Raises
+    Satisfies ``sum_k Zt_k^dag Zt_k = I``: they are the blocks of the polar
+    factor ``Q R^dag`` of the stacked ``Z``.  Raises
     :class:`SingularAngleError` when ``Xi`` is singular (``Xi^2`` has an
-    eigenvalue at or below ``tol.tol_psd * max(||Xi^2||, 1)``); in that
-    regime only the exponential path is defined.
+    eigenvalue at or below ``tol.tol_psd * max(||Xi^2||, 1)``), where the
+    polar factor is not unique.
     """
-    T, _ = _as_blocks(Zs, who="normalize_blocks")
-    a = _angle_data((T,), tol)
-    if a.singular[0]:
-        raise SingularAngleError(
-            "normalize_blocks: matrix angle is singular; use the exponential path"
-        )
-    return list(a.Zt[0])
+    T, m = _as_blocks(Zs, who="normalize_blocks")
+    Q, sigma, Rh = np.linalg.svd(T.reshape(-1, m), full_matrices=False)
+    _require_regular(sigma, tol, "normalize_blocks")
+    return list((Q @ Rh).reshape(T.shape))
 
 
 def build_Xj_block(Zs, n: int, j: int, m: int) -> np.ndarray:
@@ -274,12 +261,10 @@ def build_Vjnm(Zs, j: int, m: int, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     Equals the top-left ``jm x jm`` block of
     ``expm_skew(build_Xj_block(Z_j, j, j, m))``.  Returns the identity for an
     all-zero block vector; raises :class:`SingularAngleError` for a nonzero
-    vector with singular angle.
+    vector with singular angle, where the paper's ``Zh`` is not defined.
     """
     T, m = _as_blocks(Zs, m, "build_Vjnm", j)
-    if not np.any(T):
-        return np.eye(j * m, dtype=complex)
-    return _closed_V(_angle_data((T,), tol), 0, j - 1)
+    return _level_A(T, j, "closed", tol, "build_Vjnm")
 
 
 def build_Ajnm(
@@ -288,10 +273,11 @@ def build_Ajnm(
     """Embed the block unitary of level ``j`` into the full ``nm x nm`` space.
 
     ``V_j`` occupies the top-left ``jm x jm`` corner; the remaining ``n - j``
-    diagonal blocks are identities.  ``method="closed"`` uses
-    :func:`build_Vjnm`, ``method="exp"`` exponentiates the full generator,
-    and ``method="auto"`` uses the closed form unless the angle is singular.
-    Both paths agree to rounding whenever the angle is nonsingular.
+    diagonal blocks are identities.  ``method="closed"`` uses the closed form
+    of :func:`build_Vjnm` and raises where it does, ``method="auto"`` uses the
+    same closed form at every angle, singular ones included, and
+    ``method="exp"`` exponentiates the full generator.  The closed form and
+    the exponential agree to rounding.
     """
     if not 2 <= j <= n:
         raise DimensionMismatchError(f"need 2 <= j <= n, got j={j}, n={n}")
@@ -301,18 +287,14 @@ def build_Ajnm(
     return _level_A(T, n, method, tol)
 
 
-def _level_A(T, n, method, tol):
+def _level_A(T, n, method, tol, who="build_Ajnm"):
     """``A_j`` of a validated level stack ``T`` (``j = len(T) + 1``)."""
-    k, m, _ = T.shape
+    m = T.shape[1]
     if not np.any(T):
         return np.eye(n * m, dtype=complex)
-    if method != "exp":
-        a = _angle_data((T,), tol)
-        if not (method == "auto" and a.singular[0]):
-            A = np.eye(n * m, dtype=complex)
-            A[: (k + 1) * m, : (k + 1) * m] = _closed_V(a, 0, k)
-            return A
-    return expm_skew(_generator(T, n), tol)
+    if method == "exp":
+        return expm_skew(_generator(T, n), tol)
+    return _chain(np.eye(n * m, dtype=complex), (T,), method, tol, who)
 
 
 @dataclass(frozen=True)
@@ -455,25 +437,24 @@ def assemble_rho_block(
     The spectrum of the result equals ``p.lambdas`` as a multiset and the
     factorization metadata ``(n, m)`` is carried along.  With all block
     vectors zero the state is block diagonal with blocks ``Lambda_k``.
-    ``method`` picks each level's unitary as in :func:`build_Ajnm`; a
-    closed-form ``V_j`` multiplies only the top ``jm`` rows of the product.
-    ``tol`` sets the singular-angle decision, the ``exp`` fallback's check
-    and the :class:`DensityMatrix` gate, nothing else: ``p`` is checked.
+    ``method`` picks each level's unitary as in :func:`build_Ajnm`: the
+    closed form (``auto`` and ``closed``) touches only the top-left ``jm``
+    corner of the product, ``exp`` multiplies by the full exponential.
+    ``tol`` sets the :class:`DensityMatrix` gate, the singular-angle error of
+    ``closed`` and the skew-Hermiticity check of ``exp``; under ``auto`` it
+    decides nothing else: ``p`` is checked.
     """
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}")
     n, m = p.n, p.m
     D = _core(p.lambdas, p.local_unitaries)
     U = np.eye(n * m, dtype=complex)
-    if p.blockvecs and method != "exp":
-        a = _angle_data(p.blockvecs, tol)
-    for j, T in enumerate(p.blockvecs, start=2):
-        if not np.any(T):
-            continue
-        if method == "exp" or (method == "auto" and a.singular[j - 2]):
-            U = build_Ajnm(T, n, j, m, method, tol) @ U
-        else:
-            U[: j * m] = _closed_V(a, j - 2, j - 1) @ U[: j * m]
+    if method == "exp":
+        for j, T in enumerate(p.blockvecs, start=2):
+            if np.any(T):
+                U = build_Ajnm(T, n, j, m, method, tol) @ U
+    elif p.blockvecs:
+        _chain(U, p.blockvecs, method, tol, "assemble_rho_block")
     rho = U @ D @ U.conj().T
     rho = (rho + rho.conj().T) / 2.0
     return DensityMatrix(n, m, rho, tol)

@@ -42,10 +42,15 @@ class InvalidSimplexError(DmParamError):
 
 
 class SingularAngleError(DmParamError):
-    """The matrix angle is singular; the closed form is unavailable.
+    """The matrix angle is singular, so the normalized blocks ``Zh`` are not
+    defined.
 
-    The exponential path (``method="exp"``) needs no normalization and
-    remains valid for singular angles.
+    Raised only where ``Zh`` or the paper's normalization is asked for:
+    ``normalize_blocks``, ``build_Vjnm``, ``build_Ajnm(..., "closed")`` and
+    ``assemble_rho_block(..., method="closed")``.  ``method="auto"`` takes
+    the same closed form through the polar factor of the blocks, which
+    exists at singular angles too, and ``method="exp"`` needs no
+    normalization.
     """
 
 

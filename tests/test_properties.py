@@ -5,13 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmparam import (
+    build_Ajnm,
     circulant_ppt_margins,
     circulant_rho,
     expm_skew,
     partial_transpose,
     ppt_check,
 )
-from dmparam._random import rand_block_params, rand_skew
+from dmparam._random import rand_block_params, rand_complex, rand_skew
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 angles = st.floats(min_value=0.0, max_value=np.pi / 2, allow_nan=False)
@@ -49,3 +50,32 @@ def test_partial_transpose_involution(seed, n, m):
     pt = partial_transpose(rho, "second")
     back = partial_transpose(pt, "second", dims=(n, m))
     assert np.max(np.abs(back - rho.mat)) <= 1e-14
+
+
+def _level_blocks(rng, kind, k, m):
+    """``k`` blocks of size ``m``: generic, sharing a kernel vector off the
+    basis (a singular angle), of rank one together, or scaled by 1e-9."""
+    Zs = rand_complex(rng, (k, m, m))
+    if kind == "common_kernel":
+        v = rand_complex(rng, m)
+        v /= np.linalg.norm(v)
+        Zs = Zs @ (np.eye(m) - np.outer(v, v.conj()))
+    elif kind == "rank_one":
+        Zs = rand_complex(rng, (k, m, 1)) @ rand_complex(rng, (1, m))
+    elif kind == "tiny":
+        Zs = 1e-9 * Zs
+    return list(Zs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    m=st.integers(1, 5),
+    k=st.integers(1, 7),
+    kind=st.sampled_from(["generic", "common_kernel", "rank_one", "tiny"]),
+)
+def test_auto_closed_form_matches_exp(seed, m, k, kind):
+    Zs = _level_blocks(np.random.default_rng(seed), kind, k, m)
+    auto = build_Ajnm(Zs, k + 2, k + 1, m, "auto")
+    exact = build_Ajnm(Zs, k + 2, k + 1, m, "exp")
+    assert np.max(np.abs(auto - exact)) <= 1e-12

@@ -1,8 +1,9 @@
 """The structured chain: each level touches only the rows its factor acts on.
 
 The oracles are the forms the chain no longer builds: the exponential of the
-full generator, ``V_j`` filled block by block, the product of embedded
-``n x n`` factors, and the chain that decomposes one level at a time.
+full generator, ``V_j`` filled block row by block row, the product of
+embedded ``n x n`` factors, and the chain that decomposes one level at a
+time.
 """
 
 import numpy as np
@@ -20,8 +21,6 @@ from dmparam import (
     expm_skew,
 )
 from dmparam._random import rand_block_params, rand_complex, rand_single_params
-from dmparam.blocks import _angle_data
-from dmparam.linalg import DEFAULT_TOL
 
 
 @pytest.mark.parametrize("j,m", [(16, 4), (32, 2)])
@@ -33,26 +32,43 @@ def test_block_closed_form_is_top_left_of_exponential(j, m):
     assert np.linalg.norm(V - E) <= 1e-10
 
 
+def _per_level_factors(T, K):
+    """``Q``, ``R^dag`` and the spectrum of ``Xi`` of one level from the SVD
+    of its stacked blocks, padded with zero blocks to ``K`` blocks as a batch
+    of levels pads them (``K = len(T)``: no padding)."""
+    k, m, _ = T.shape
+    Z = np.zeros((K * m, m), dtype=complex)
+    Z[: k * m] = T.reshape(k * m, m)
+    Q, sigma, Rh = np.linalg.svd(Z, full_matrices=False)
+    return Q[: k * m], sigma, Rh
+
+
+def _cos_xi(sigma, Rh):
+    C = (Rh.conj().T * np.cos(sigma)) @ Rh
+    return (C + C.conj().T) / 2.0
+
+
 def _blockwise_Vjnm(Zs, j, m):
-    """``V_j`` filled one ``m x m`` block at a time, from the same angle data."""
-    a = _angle_data((np.stack(Zs),), DEFAULT_TOL)
-    C, S, Zt = a.C[0], a.S[0], a.Zt[0]
-    V = np.eye(j * m, dtype=complex)
-    ImC = np.eye(m, dtype=complex) - C
+    """``V_j`` filled one block row at a time from the closed form with the
+    polar factor ``Zh = Q R^dag``: ``I - Q (1 - cos) Q^dag`` and
+    ``Q sin R^dag`` on top, ``-R sin Q^dag`` and ``cos Xi`` below."""
+    T = np.stack(Zs)
+    Q, sigma, Rh = _per_level_factors(T, j - 1)
     last = (j - 1) * m
+    QH = Q.conj().T
+    V = np.eye(j * m, dtype=complex)
     for k in range(j - 1):
         rows = slice(k * m, (k + 1) * m)
-        for ell in range(j - 1):
-            V[rows, ell * m : (ell + 1) * m] -= Zt[k] @ ImC @ Zt[ell].conj().T
-        V[rows, last:] = Zt[k] @ S
-        V[last:, rows] = -S @ Zt[k].conj().T
-    V[last:, last:] = C
+        V[rows, :last] -= (Q[rows] * (1.0 - np.cos(sigma))) @ QH
+        V[rows, last:] = Q[rows] @ (np.sin(sigma)[:, None] * Rh)
+    V[last:, :last] = -(Rh.conj().T * np.sin(sigma)) @ QH
+    V[last:, last:] = _cos_xi(sigma, Rh)
     return V
 
 
 @pytest.mark.parametrize("j,m", [(4, 1), (3, 2), (32, 2), (5, 3), (8, 4), (3, 8)])
 def test_block_closed_form_equals_blockwise_fill(j, m):
-    # the stacked products round every block as the m x m products do
+    # each block row of a product rounds as that row's own product does
     rng = np.random.default_rng(30 + j + m)
     Zs = [rand_complex(rng, (m, m)) for _ in range(j - 1)]
     assert np.array_equal(build_Vjnm(Zs, j, m), _blockwise_Vjnm(Zs, j, m))
@@ -124,20 +140,21 @@ def test_params_arrays_are_not_written():
     assert np.array_equal(pb.lambdas, lambdas_before[1])
 
 
-def _common_kernel_params(seed):
-    """8 (x) 4 parameters whose top-level blocks share one kernel vector off
+def _common_kernel_params(seed, n=8, m=4):
+    """n (x) m parameters whose top-level blocks share one kernel vector off
     the basis: the Gram eigenvalue there is rounding-level, not zero."""
     rng = np.random.default_rng(seed)
-    p = rand_block_params(rng, 8, 4)
-    v = rand_complex(rng, 4)
+    p = rand_block_params(rng, n, m)
+    v = rand_complex(rng, m)
     v /= np.linalg.norm(v)
-    proj = np.eye(4) - np.outer(v, v.conj())
+    proj = np.eye(m) - np.outer(v, v.conj())
     top = tuple(Z @ proj for Z in p.blockvecs[-1])
-    return BlockParams(8, 4, p.lambdas, p.local_unitaries, p.blockvecs[:-1] + (top,))
+    return BlockParams(n, m, p.lambdas, p.local_unitaries, p.blockvecs[:-1] + (top,))
 
 
 @pytest.mark.parametrize("seed", range(50))
 def test_auto_takes_exp_on_near_singular_angle(seed):
+    # auto takes the closed form here as everywhere; exp is the oracle.
     # assemble_rho_block raises if the state fails the DensityMatrix gate
     p = _common_kernel_params(seed)
     auto = assemble_rho_block(p)
@@ -145,35 +162,34 @@ def test_auto_takes_exp_on_near_singular_angle(seed):
     assert np.max(np.abs(auto.mat - exact.mat)) <= 1e-12
 
 
-def _per_level_Vj(T):
-    """Closed-form ``V_j`` of one level from its own Gram eigendecomposition,
-    as the chain computed it before it batched the levels; ``None`` when the
-    angle is singular."""
-    G = sum(T.conj().transpose(0, 2, 1) @ T)
-    w, V = np.linalg.eigh((G + G.conj().T) / 2.0)
-    s = np.sqrt(np.clip(w, 0.0, None))
-    C = (V * np.cos(s)) @ V.conj().T
-    S = (V * np.sin(s)) @ V.conj().T
-    C = (C + C.conj().T) / 2.0
-    S = (S + S.conj().T) / 2.0
-    if w[0] <= DEFAULT_TOL.tol_psd * max(w[-1], 1.0):
-        return None
-    Zt = T @ ((V * (1.0 / s)) @ V.conj().T)
+def _per_level_update(U, T, K):
+    """``U[:jm, :jm] = V_j U[:jm, :jm]`` for one level, from the SVD of its
+    own blocks padded to ``K`` blocks, where ``U`` is the identity outside
+    its top ``(j - 1) m`` rows and columns."""
     k, m, _ = T.shape
-    last = k * m
-    Zh = Zt.reshape(last, m)
-    ZtH = Zt.conj().transpose(0, 2, 1)
-    Vj = np.empty((last + m, last + m), dtype=complex)
-    cols = (Zh @ (np.eye(m) - C)) @ ZtH
-    Vj[:last, :last] = np.eye(last) - cols.transpose(1, 0, 2).reshape(last, last)
-    Vj[:last, last:] = Zh @ S
-    Vj[last:, :last] = (-S @ ZtH).transpose(1, 0, 2).reshape(m, last)
-    Vj[last:, last:] = C
+    km = k * m
+    Q, sigma, Rh = _per_level_factors(T, K)
+    top = U[:km, :km]
+    W = Q.conj().T @ top
+    MW = np.vstack([Q * (1.0 - np.cos(sigma)), Rh.conj().T * np.sin(sigma)]) @ W
+    U[: km + m, : km + m] = np.block([
+        [top - MW[:km], Q @ (np.sin(sigma)[:, None] * Rh)],
+        [-MW[km:], _cos_xi(sigma, Rh)],
+    ])
+
+
+def _per_level_Vj(T):
+    """Closed-form ``V_j`` of one level: its update applied to the identity."""
+    k, m, _ = T.shape
+    Vj = np.eye((k + 1) * m, dtype=complex)
+    _per_level_update(Vj, T, k)
     return Vj
 
 
 def _per_level_rho(p, method):
-    """``assemble_rho_block(p, method=method).mat`` one level at a time."""
+    """``assemble_rho_block(p, method=method).mat`` one level at a time, each
+    level's SVD padded to the top level's ``n - 1`` blocks as the batch pads
+    it."""
     n, m = p.n, p.m
     D = np.zeros((n * m, n * m), dtype=complex)
     for k, U in enumerate(p.local_unitaries):
@@ -183,11 +199,10 @@ def _per_level_rho(p, method):
     for j, T in enumerate(p.blockvecs, start=2):
         if not np.any(T):
             continue
-        Vj = None if method == "exp" else _per_level_Vj(T)
-        if Vj is None:
+        if method == "exp":
             U = expm_skew(build_Xj_block(T, n, j, m)) @ U
         else:
-            U[: j * m] = Vj @ U[: j * m]
+            _per_level_update(U, T, n - 1)
     rho = U @ D @ U.conj().T
     return (rho + rho.conj().T) / 2.0
 
@@ -233,3 +248,29 @@ def test_single_level_layers_equal_per_level_form_bitwise(j, m):
     assert np.array_equal(build_Vjnm(T, j, m), Vj)
     A = build_Ajnm(T, j + 1, j, m)
     assert np.array_equal(A[: j * m, : j * m], Vj)
+
+
+@pytest.mark.parametrize("scale", [1e12, 1e14])
+@pytest.mark.parametrize(
+    "n,m,singular_top,method",
+    [
+        (4, 2, False, "auto"),
+        (4, 2, False, "closed"),
+        (4, 2, True, "auto"),
+        (8, 4, False, "auto"),
+        (8, 4, False, "closed"),
+        (8, 4, True, "auto"),
+    ],
+)
+def test_extreme_scales_pass_the_state_gate(n, m, singular_top, method, scale):
+    # V_j from orthonormal SVD factors stays unitary at any scale; built from
+    # the Gram matrix's eigenvalues, whose small ones are off by about
+    # eps ||G||, it is not, and the gate refuses the state
+    if singular_top:
+        p = _common_kernel_params(110 + n, n, m)
+    else:
+        p = rand_block_params(np.random.default_rng(110 + n), n, m)
+    vecs = tuple(scale * T for T in p.blockvecs)
+    q = BlockParams(n, m, p.lambdas, p.local_unitaries, vecs)
+    rho = assemble_rho_block(q, method=method)
+    assert np.max(np.abs(np.linalg.eigvalsh(rho.mat) - np.sort(q.lambdas))) <= 1e-9
