@@ -30,10 +30,8 @@ of the stacked blocks, ``Zh = Q R^dag`` is the polar factor of ``Z``,
 singular the polar factor is not unique, but every choice gives the same
 ``V_j``, since it enters only through ``1 - cos`` and ``sin`` of a zero
 angle.  ``V_j`` built from orthonormal ``Q`` and unitary ``R`` is unitary to
-rounding at every scale of ``Z``.  Only the public layer functions that
-return ``Zh`` itself, or promise the paper's normalization
-(``normalize_blocks``, ``build_Vjnm`` and ``method="closed"``), raise
-``SingularAngleError`` there.
+rounding at every scale of ``Z``.  Only :func:`normalize_blocks`, which
+returns ``Zh`` itself, raises ``SingularAngleError`` there.
 
 ``A_j`` is the identity outside its top ``jm`` rows and columns, and so is
 the running product ``A_{j-1} ... A_2`` outside its top ``(j-1)m``.  So the
@@ -88,7 +86,7 @@ __all__ = [
     "assemble_rho_block",
 ]
 
-_METHODS = ("closed", "exp", "auto")
+_METHODS = ("closed", "exp")
 
 #: Largest Gram trace whose symmetrization ``G + G^dag`` stays finite.
 _GRAM_MAX = np.finfo(float).max / 2.0
@@ -171,17 +169,7 @@ def _angle_data(levels):
     return sigma, Q.conj(), M.reshape(L, -1, m), N.reshape(L, -1, m)
 
 
-def _require_regular(sigma, tol, who):
-    """Raise :class:`SingularAngleError` when the spectrum ``sigma`` of a
-    nonzero level's ``Xi`` makes it singular: its smallest square is at most
-    ``tol_psd`` relative to the largest (or to one, whichever is bigger), so
-    ``Zh = Z inv(Xi)`` is not defined.  Deciding on the angle itself would
-    pass a rounding-level angle of about 3e-9."""
-    if sigma[-1] ** 2 <= tol.tol_psd * max(sigma[0] ** 2, 1.0):
-        raise SingularAngleError(f"{who}: matrix angle is singular; use method='exp'")
-
-
-def _chain(U, levels, method, tol, who):
+def _chain(U, levels):
     """``U = A_n ... A_2 U`` in place for validated level stacks and ``U``
     the identity.
 
@@ -194,22 +182,20 @@ def _chain(U, levels, method, tol, who):
     Xi`` and ``S = sin Xi``: top-left ``I - Zh (I - C) Zh^dag``, last block
     column ``Zh S``, last block row ``-S Zh^dag`` and corner ``C``.  It is
     unitary to rounding at every scale, since ``Q`` and ``R`` are.  All-zero
-    levels are skipped; ``method="closed"`` raises at singular angles.
+    levels are skipped.
     """
     sigma, QH, M, N = _angle_data(levels)
     m = sigma.shape[1]
     for l, T in enumerate(levels):
         km = len(T) * m
         if sigma[l, 0]:
-            if method == "closed":
-                _require_regular(sigma[l], tol, who)
             W = QH[l, :km].T @ U[:km, :km]
             U[: km + m, :km] -= M[l, : km + m] @ W
             U[: km + m, km : km + m] = N[l, : km + m]
     return U
 
 
-def block_angle(Zs, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def block_angle(Zs) -> np.ndarray:
     """Matrix angle ``Xi = sqrt(sum_k Z_k^dag Z_k)`` of a block vector."""
     T, m = _as_blocks(Zs, who="block_angle")
     _, sigma, Rh = np.linalg.svd(T.reshape(-1, m), full_matrices=False)
@@ -228,7 +214,9 @@ def normalize_blocks(Zs, tol: Tolerances = DEFAULT_TOL):
     """
     T, m = _as_blocks(Zs, who="normalize_blocks")
     Q, sigma, Rh = np.linalg.svd(T.reshape(-1, m), full_matrices=False)
-    _require_regular(sigma, tol, "normalize_blocks")
+    # deciding on the angle itself would pass a rounding-level angle of about 3e-9
+    if sigma[-1] ** 2 <= tol.tol_psd * max(sigma[0] ** 2, 1.0):
+        raise SingularAngleError("normalize_blocks: matrix angle is singular")
     return list((Q @ Rh).reshape(T.shape))
 
 
@@ -255,16 +243,16 @@ def _generator(T, n):
     return X
 
 
-def build_Vjnm(Zs, j: int, m: int, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def build_Vjnm(Zs, j: int, m: int) -> np.ndarray:
     """Closed form of the ``jm x jm`` block unitary generated by ``Z_j``.
 
     Equals the top-left ``jm x jm`` block of
-    ``expm_skew(build_Xj_block(Z_j, j, j, m))``.  Returns the identity for an
-    all-zero block vector; raises :class:`SingularAngleError` for a nonzero
-    vector with singular angle, where the paper's ``Zh`` is not defined.
+    ``expm_skew(build_Xj_block(Z_j, j, j, m))`` at every angle, singular
+    ones included, where ``Zh`` is not unique but ``V_j`` is.  Returns the
+    identity for an all-zero block vector.
     """
     T, m = _as_blocks(Zs, m, "build_Vjnm", j)
-    return _level_A(T, j, "closed", tol, "build_Vjnm")
+    return _level_A(T, j, "closed", DEFAULT_TOL)
 
 
 def build_Ajnm(
@@ -274,10 +262,9 @@ def build_Ajnm(
 
     ``V_j`` occupies the top-left ``jm x jm`` corner; the remaining ``n - j``
     diagonal blocks are identities.  ``method="closed"`` uses the closed form
-    of :func:`build_Vjnm` and raises where it does, ``method="auto"`` uses the
-    same closed form at every angle, singular ones included, and
-    ``method="exp"`` exponentiates the full generator.  The closed form and
-    the exponential agree to rounding.
+    of :func:`build_Vjnm` at every angle, and ``method="exp"`` exponentiates
+    the full generator, whose skew-Hermiticity ``tol`` checks.  The two agree
+    to rounding.
     """
     if not 2 <= j <= n:
         raise DimensionMismatchError(f"need 2 <= j <= n, got j={j}, n={n}")
@@ -287,14 +274,14 @@ def build_Ajnm(
     return _level_A(T, n, method, tol)
 
 
-def _level_A(T, n, method, tol, who="build_Ajnm"):
+def _level_A(T, n, method, tol):
     """``A_j`` of a validated level stack ``T`` (``j = len(T) + 1``)."""
     m = T.shape[1]
     if not np.any(T):
         return np.eye(n * m, dtype=complex)
     if method == "exp":
         return expm_skew(_generator(T, n), tol)
-    return _chain(np.eye(n * m, dtype=complex), (T,), method, tol, who)
+    return _chain(np.eye(n * m, dtype=complex), (T,))
 
 
 @dataclass(frozen=True)
@@ -430,7 +417,7 @@ class BlockParams:
 
 
 def assemble_rho_block(
-    p: BlockParams, tol: Tolerances = DEFAULT_TOL, method: str = "auto"
+    p: BlockParams, tol: Tolerances = DEFAULT_TOL, method: str = "closed"
 ) -> DensityMatrix:
     """Assemble ``rho = A_n ... A_2 D(Lambda_1 | ... | Lambda_n) A_2^dag ... A_n^dag``.
 
@@ -438,11 +425,10 @@ def assemble_rho_block(
     factorization metadata ``(n, m)`` is carried along.  With all block
     vectors zero the state is block diagonal with blocks ``Lambda_k``.
     ``method`` picks each level's unitary as in :func:`build_Ajnm`: the
-    closed form (``auto`` and ``closed``) touches only the top-left ``jm``
-    corner of the product, ``exp`` multiplies by the full exponential.
-    ``tol`` sets the :class:`DensityMatrix` gate, the singular-angle error of
-    ``closed`` and the skew-Hermiticity check of ``exp``; under ``auto`` it
-    decides nothing else: ``p`` is checked.
+    closed form touches only the top-left ``jm`` corner of the product, at
+    every angle, and ``exp`` multiplies by the full exponential.  ``tol``
+    sets the :class:`DensityMatrix` gate and the skew-Hermiticity check of
+    ``exp``; ``p`` is checked.
     """
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -450,11 +436,11 @@ def assemble_rho_block(
     D = _core(p.lambdas, p.local_unitaries)
     U = np.eye(n * m, dtype=complex)
     if method == "exp":
-        for j, T in enumerate(p.blockvecs, start=2):
+        for T in p.blockvecs:
             if np.any(T):
-                U = build_Ajnm(T, n, j, m, method, tol) @ U
+                U = _level_A(T, n, method, tol) @ U
     elif p.blockvecs:
-        _chain(U, p.blockvecs, method, tol, "assemble_rho_block")
+        _chain(U, p.blockvecs)
     rho = U @ D @ U.conj().T
     rho = (rho + rho.conj().T) / 2.0
     return DensityMatrix(n, m, rho, tol)

@@ -43,14 +43,11 @@ class InvalidSimplexError(DmParamError):
 
 class SingularAngleError(DmParamError):
     """The matrix angle is singular, so the normalized blocks ``Zh`` are not
-    defined.
+    unique.
 
-    Raised only where ``Zh`` or the paper's normalization is asked for:
-    ``normalize_blocks``, ``build_Vjnm``, ``build_Ajnm(..., "closed")`` and
-    ``assemble_rho_block(..., method="closed")``.  ``method="auto"`` takes
-    the same closed form through the polar factor of the blocks, which
-    exists at singular angles too, and ``method="exp"`` needs no
-    normalization.
+    Raised only by ``normalize_blocks``, which returns ``Zh`` itself.  The
+    block unitary ``V_j`` is unique at every angle: the chain builds it from
+    the polar factor of the blocks, which exists at singular angles too.
     """
 
 

@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .blocks import _as_blocks, _level_A
+from .blocks import _angle_data, _as_blocks
 from .entanglement import _angle_ok, _check_angles, _circulant_margins
 from .errors import (
     BadNormalizationError,
@@ -315,8 +315,11 @@ def class3_state(n: int, m: int, Zs, tol: Tolerances = DEFAULT_TOL) -> DensityMa
     if n < 2:
         raise DimensionMismatchError(f"class3_state: need n >= 2, got {n}")
     T, m = _as_blocks(Zs, m, "class3_state", n)
-    A = _level_A(T, n, "auto", tol)
-    col = A[:, (n - 1) * m :]
+    sigma, _, _, N = _angle_data((T,))
+    if sigma[0, 0]:
+        col = N[0]
+    else:  # the chain skips an all-zero level: the column of the identity
+        col = np.eye(n * m, m, -(n - 1) * m, dtype=complex)
     rho = (col @ col.conj().T) / m
     rho = (rho + rho.conj().T) / 2.0
     return DensityMatrix(n, m, rho, tol)
@@ -344,7 +347,7 @@ def nonabelian_bloch(U, Xi2, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
     return DensityMatrix(2, m, rho, tol)
 
 
-def nonabelian_sphere_check(Ps, tol: Tolerances = DEFAULT_TOL) -> bool:
+def nonabelian_sphere_check(Ps) -> bool:
     """True iff ``P_1^2 + ... + P_k^2 = I`` within 1e-10."""
     Ps = [np.asarray(P, dtype=complex) for P in Ps]
     if not Ps:

@@ -53,10 +53,10 @@ def fmt_float(x: float) -> str:
 
 def _to_complex(obj, field):
     try:
-        if isinstance(obj, (int, float)):
+        if type(obj) in (int, float):  # not bool, which JSON true/false parse to
             return complex(obj)
         if isinstance(obj, (list, tuple)) and len(obj) == 2 and all(
-            isinstance(v, (int, float)) for v in obj
+            type(v) in (int, float) for v in obj
         ):
             return complex(obj[0], obj[1])
     except OverflowError:  # JSON integers have no size limit

@@ -212,7 +212,7 @@ def matfun_psd(P, kind: str, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return _require_psd(P, tol, "matfun_psd", (kind,))[1][0]
 
 
-def polar(Z, tol: Tolerances = DEFAULT_TOL):
+def polar(Z):
     """Left polar decomposition ``Z = P @ U`` with ``P = sqrt(Z Z^dag)`` PSD.
 
     Computed from the SVD ``Z = W S Vh``: ``P = W S W^dag`` and

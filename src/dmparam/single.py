@@ -145,7 +145,7 @@ def _rotation(z):
     return z / theta, np.cos(theta), np.sin(theta)
 
 
-def build_Vjn(z, j: int, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def build_Vjn(z, j: int) -> np.ndarray:
     """Closed form of the ``j x j`` unitary generated by ``z``.
 
     Equals the top-left ``j x j`` block of ``expm_skew(build_Xj_single(z, n, j))``

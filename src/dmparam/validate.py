@@ -124,7 +124,7 @@ def run_validation(seed: int, trials: int, tol=DEFAULT_TOL):
         Z = rnd.rand_complex(rng, (d, d))
         if k % 3 == 0:
             Z[:, 0] = 0.0  # force a kernel
-        P, U = polar(Z, tol)
+        P, U = polar(Z)
         res.append(np.linalg.norm(P @ U - Z))
         res.append(np.linalg.norm(U.conj().T @ U - np.eye(d)))
         res.append(max(0.0, -float(np.linalg.eigvalsh(P)[0])))
@@ -153,7 +153,7 @@ def run_validation(seed: int, trials: int, tol=DEFAULT_TOL):
         n = int(rng.integers(2, 7))
         p = rnd.rand_single_params(rng, n)
         for j in range(2, n + 1):
-            V = build_Vjn(p.zvecs[j - 2], j, tol)
+            V = build_Vjn(p.zvecs[j - 2], j)
             E = expm_skew(build_Xj_single(p.zvecs[j - 2], n, j), tol)
             res.append(np.linalg.norm(V - E[:j, :j]))
         rho = assemble_rho_single(p, tol)
@@ -294,8 +294,8 @@ def _class3(rng, n, m, tol):
     rho = class3_state(n, m, Zs, tol)
     mr = m * rho.mat
     residual = float(np.linalg.norm(mr @ mr - mr))
-    Ps = [polar(Zt, tol)[0] for Zt in normalize_blocks(Zs, tol)]
-    return rho, residual, nonabelian_sphere_check(Ps, tol)
+    Ps = [polar(Zt)[0] for Zt in normalize_blocks(Zs, tol)]
+    return rho, residual, nonabelian_sphere_check(Ps)
 
 
 def _chain_2x2(lambdas, Z, tol):

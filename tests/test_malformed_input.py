@@ -43,6 +43,14 @@ CASES = {
     "huge-matrix-entry": (
         {"schema_version": "1", "n": 1, "m": 1, "matrix": [[[HUGE, 0.0]]]},
         "field 'matrix': number out of float range"),
+    "bool-matrix-entry": (_block(local_unitaries=[[[True, 0], [0, 1]], np.eye(2).tolist()]),
+                          "field 'local_unitaries[0]': expected a number"),
+    "bool-pair": (_doc("single", {"lambdas": [0.6, 0.4], "zvecs": [[[0.3, True]]]}),
+                  "field 'zvecs[0]': expected a number"),
+    "bool-lambdas": (_doc("single", {"lambdas": [True, False], "zvecs": [[[0.3, 0.1]]]}),
+                     "field 'lambdas': expected a number"),
+    "bool-matrix-file": ({"schema_version": "1", "n": 1, "m": 1, "matrix": [[True]]},
+                         "field 'matrix': expected a number"),
     "family-p-object": (_doc("family", {"family": "isotropic", "p": {"a": 1}}), "'p'"),
     "class3-Z-int": (_doc("family", {"family": "class3", "n": 2, "m": 1, "Z": 5}), "'Z'"),
     "block-unitaries-int": (_block(local_unitaries=3), "'local_unitaries'"),

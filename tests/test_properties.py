@@ -54,7 +54,7 @@ def test_partial_transpose_involution(seed, n, m):
 
 def _level_blocks(rng, kind, k, m):
     """``k`` blocks of size ``m``: generic, sharing a kernel vector off the
-    basis (a singular angle), of rank one together, or scaled by 1e-9."""
+    basis (a singular angle), of rank one together, scaled by 1e-9, or zero."""
     Zs = rand_complex(rng, (k, m, m))
     if kind == "common_kernel":
         v = rand_complex(rng, m)
@@ -64,6 +64,8 @@ def _level_blocks(rng, kind, k, m):
         Zs = rand_complex(rng, (k, m, 1)) @ rand_complex(rng, (1, m))
     elif kind == "tiny":
         Zs = 1e-9 * Zs
+    elif kind == "zero":
+        Zs = np.zeros_like(Zs)
     return list(Zs)
 
 
@@ -72,10 +74,11 @@ def _level_blocks(rng, kind, k, m):
     seed=st.integers(0, 2**31 - 1),
     m=st.integers(1, 5),
     k=st.integers(1, 7),
-    kind=st.sampled_from(["generic", "common_kernel", "rank_one", "tiny"]),
+    kind=st.sampled_from(["generic", "common_kernel", "rank_one", "tiny", "zero"]),
 )
 def test_auto_closed_form_matches_exp(seed, m, k, kind):
+    # the closed form is the default method at every angle, singular ones included
     Zs = _level_blocks(np.random.default_rng(seed), kind, k, m)
-    auto = build_Ajnm(Zs, k + 2, k + 1, m, "auto")
+    closed = build_Ajnm(Zs, k + 2, k + 1, m, "closed")
     exact = build_Ajnm(Zs, k + 2, k + 1, m, "exp")
-    assert np.max(np.abs(auto - exact)) <= 1e-12
+    assert np.max(np.abs(closed - exact)) <= 1e-12

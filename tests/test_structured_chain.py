@@ -76,10 +76,11 @@ def test_block_closed_form_equals_blockwise_fill(j, m):
 
 @pytest.mark.parametrize("n,m", [(16, 4), (32, 2)])
 def test_block_auto_matches_exp(n, m):
+    # the default method is the closed form
     p = rand_block_params(np.random.default_rng(50 + n), n, m)
-    auto = assemble_rho_block(p)
+    closed = assemble_rho_block(p)
     exact = assemble_rho_block(p, method="exp")
-    assert np.max(np.abs(auto.mat - exact.mat)) <= 1e-9
+    assert np.max(np.abs(closed.mat - exact.mat)) <= 1e-9
 
 
 def _dense_single(p):
@@ -129,7 +130,7 @@ def test_params_arrays_are_not_written():
     block_before = [[Z.copy() for Z in Zs] for Zs in pb.blockvecs]
     lambdas_before = (ps.lambdas.copy(), pb.lambdas.copy())
     assemble_rho_single(ps)
-    for method in ("auto", "closed", "exp"):
+    for method in ("closed", "exp"):
         assemble_rho_block(pb, method=method)
     for z, z0 in zip(ps.zvecs, single_before):
         assert not z.flags.writeable and np.array_equal(z, z0)
@@ -154,12 +155,13 @@ def _common_kernel_params(seed, n=8, m=4):
 
 @pytest.mark.parametrize("seed", range(50))
 def test_auto_takes_exp_on_near_singular_angle(seed):
-    # auto takes the closed form here as everywhere; exp is the oracle.
+    # the name is historical: the default closed form is taken here as
+    # everywhere; exp is the oracle.
     # assemble_rho_block raises if the state fails the DensityMatrix gate
     p = _common_kernel_params(seed)
-    auto = assemble_rho_block(p)
+    closed = assemble_rho_block(p)
     exact = assemble_rho_block(p, method="exp")
-    assert np.max(np.abs(auto.mat - exact.mat)) <= 1e-12
+    assert np.max(np.abs(closed.mat - exact.mat)) <= 1e-12
 
 
 def _per_level_update(U, T, K):
@@ -231,10 +233,10 @@ def _chain_params(n, m, seed, singular_top=False, zero_level=None):
 )
 def test_batched_levels_equal_per_level_chain_bitwise(n, m, singular_top, zero_level):
     p = _chain_params(n, m, 80 + n + m, singular_top, zero_level)
-    assert np.array_equal(assemble_rho_block(p).mat, _per_level_rho(p, "auto"))
+    assert np.array_equal(assemble_rho_block(p).mat, _per_level_rho(p, "closed"))
 
 
-@pytest.mark.parametrize("method", ["closed", "exp", "auto"])
+@pytest.mark.parametrize("method", ["closed", "exp"])
 def test_each_method_equals_per_level_chain_bitwise(method):
     p = _chain_params(3, 3, 90)
     assert np.array_equal(assemble_rho_block(p, method=method).mat, _per_level_rho(p, method))
@@ -254,12 +256,10 @@ def test_single_level_layers_equal_per_level_form_bitwise(j, m):
 @pytest.mark.parametrize(
     "n,m,singular_top,method",
     [
-        (4, 2, False, "auto"),
         (4, 2, False, "closed"),
-        (4, 2, True, "auto"),
-        (8, 4, False, "auto"),
+        (4, 2, True, "closed"),
         (8, 4, False, "closed"),
-        (8, 4, True, "auto"),
+        (8, 4, True, "closed"),
     ],
 )
 def test_extreme_scales_pass_the_state_gate(n, m, singular_top, method, scale):

@@ -11,7 +11,6 @@ import pytest
 
 from dmparam import (
     BlockParams,
-    SingularAngleError,
     assemble_rho_block,
     build_Ajnm,
     build_core,
@@ -97,12 +96,8 @@ def _rebuilt(p):
     D = build_core(p.lambdas, p.local_unitaries, n, m).matrix()
     U = np.eye(n * m, dtype=complex)
     for j, Zs in enumerate(p.blockvecs, start=2):
-        if not np.any(Zs):
-            continue
-        try:
+        if np.any(Zs):
             U[: j * m] = build_Vjnm(Zs, j, m) @ U[: j * m]
-        except SingularAngleError:
-            U = build_Ajnm(Zs, n, j, m, "auto") @ U
     rho = U @ D @ U.conj().T
     return (rho + rho.conj().T) / 2.0
 
@@ -139,14 +134,16 @@ def _rounding_bound(p):
 @pytest.mark.parametrize("n,m", [(3, 2), (8, 4)])
 def test_assembly_runs_only_the_state_gate(n, m, calls):
     p = _params(n, m, seed=n + m)
-    calls["eigvalsh"] = calls["unitary"] = calls["as_blocks"] = 0
-    calls["eigh"].clear()
-    calls["svd"].clear()
-    assemble_rho_block(p)
-    assert calls["unitary"] == 0
-    assert calls["as_blocks"] == 0
-    assert calls["eigvalsh"] == 1
-    # one SVD for all levels, on their stack padded to the top level's height
+    for method in ("exp", "closed"):
+        calls["eigvalsh"] = calls["unitary"] = calls["as_blocks"] = 0
+        calls["eigh"].clear()
+        calls["svd"].clear()
+        assemble_rho_block(p, method=method)
+        assert calls["unitary"] == 0
+        assert calls["as_blocks"] == 0
+        assert calls["eigvalsh"] == 1
+    # closed, run last: one SVD for all levels, on their stack padded to the
+    # top level's height
     assert not calls["eigh"]
     assert len(calls["svd"]) == 1
     assert calls["svd"][0].shape == (n - 1, (n - 1) * m, m)
@@ -168,18 +165,14 @@ def test_assembly_takes_one_closed_form_at_every_angle(n, m, calls):
     assert calls["svd"][0].shape == (n - 1, (n - 1) * m, m)
 
 
-@pytest.mark.parametrize("method", ["closed", "exp", "auto"])
+@pytest.mark.parametrize("method", ["closed", "exp"])
 @pytest.mark.parametrize("singular", [False, True])
 def test_build_Ajnm_stacks_its_blocks_once(method, singular, calls):
     Zs = [rand_complex(np.random.default_rng(3), (3, 3)) for _ in range(2)]
     if singular:
         Zs = _singular(Zs)
-    if singular and method == "closed":
-        with pytest.raises(SingularAngleError):
-            build_Ajnm(Zs, 4, 3, 3, method)
-    else:
-        A = build_Ajnm(Zs, 4, 3, 3, method)
-        assert np.linalg.norm(A.conj().T @ A - np.eye(12)) <= 1e-10
+    A = build_Ajnm(Zs, 4, 3, 3, method)
+    assert np.linalg.norm(A.conj().T @ A - np.eye(12)) <= 1e-10
     assert calls["as_blocks"] == 1
 
 
@@ -211,6 +204,18 @@ def test_class3_state_stacks_its_blocks_once(calls, monkeypatch):
     assert calls["as_blocks"] == 1
 
 
+@pytest.mark.parametrize("kind", ["generic", "singular", "zero"])
+@pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (5, 3)])
+def test_class3_state_equals_top_level_column_bitwise(n, m, kind):
+    Zs = [rand_complex(np.random.default_rng(n + m), (m, m)) for _ in range(n - 1)]
+    if kind == "singular":
+        Zs = _singular(Zs)
+    elif kind == "zero":
+        Zs = [np.zeros((m, m))] * (n - 1)
+    col = build_Ajnm(Zs, n, n, m)[:, (n - 1) * m :]
+    assert np.array_equal(class3_state(n, m, Zs).mat, _sym((col @ col.conj().T) / m))
+
+
 def test_analyze_runs_the_state_gate_once(tmp_path, calls):
     path = tmp_path / "rho.json"
     write_matrix(path, isotropic(0.2).mat, n=2, m=2)
@@ -220,9 +225,11 @@ def test_analyze_runs_the_state_gate_once(tmp_path, calls):
 
 
 def test_singular_top_level_has_no_closed_Vjnm():
+    # the name is historical: V_j is unique at a singular angle, and the
+    # closed form returns it
     p = _params(8, 4, seed=84, singular_top=True, zero_level=4)
-    with pytest.raises(SingularAngleError):
-        build_Vjnm(p.blockvecs[-1], 8, 4)
+    exact = build_Ajnm(p.blockvecs[-1], 8, 8, 4, "exp")
+    assert np.max(np.abs(build_Vjnm(p.blockvecs[-1], 8, 4) - exact)) <= 1e-12
     assert not np.any(p.blockvecs[2])
 
 
