@@ -93,6 +93,18 @@ def _to_vector(obj, field):
     return np.array([_to_complex(v, field) for v in _to_list(obj, field)], dtype=complex)
 
 
+def _to_lambdas(obj, field):
+    """Eigenvalues: numbers or ``[re, 0]`` pairs, as a real vector."""
+    vec = _to_vector(obj, field)
+    complex_at = np.flatnonzero(vec.imag != 0.0)
+    if complex_at.size:
+        k = int(complex_at[0])
+        raise ParamFileError(
+            f"field {field!r}: entry {k} has imaginary part {float(vec.imag[k])!r}; "
+            "eigenvalues are real")
+    return vec.real
+
+
 def _to_matrix(obj, field):
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
         raise ParamFileError(f"field {field!r}: expected a nested array (matrix)")
@@ -153,15 +165,15 @@ def load_param_file(path):
         raise ParamFileError("field 'payload': expected an object")
 
     if kind == "single":
-        lambdas = np.real_if_close(_to_vector(_get(payload, "lambdas", kind), "lambdas"))
+        lambdas = _to_lambdas(_get(payload, "lambdas", kind), "lambdas")
         zvecs = _to_list(_get(payload, "zvecs", kind), "zvecs")
         zvecs = [_to_vector(z, f"zvecs[{i}]") for i, z in enumerate(zvecs)]
-        return SingleParams(n=len(lambdas), lambdas=lambdas.real, zvecs=tuple(zvecs))
+        return SingleParams(n=len(lambdas), lambdas=lambdas, zvecs=tuple(zvecs))
 
     if kind == "block":
         n = _to_int(_get(payload, "n", kind), "n")
         m = _to_int(_get(payload, "m", kind), "m")
-        lambdas = _to_vector(_get(payload, "lambdas", kind), "lambdas").real
+        lambdas = _to_lambdas(_get(payload, "lambdas", kind), "lambdas")
         unitaries = _to_matrices(_get(payload, "local_unitaries", kind), "local_unitaries")
         blockvecs = _to_list(_get(payload, "blockvecs", kind), "blockvecs")
         return BlockParams(

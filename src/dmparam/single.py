@@ -61,9 +61,14 @@ def _check_simplex(lambdas, size, descending, who):
     lambdas = np.array(lambdas, dtype=float).reshape(-1)
     if lambdas.shape[0] != size:
         raise InvalidSimplexError(f"{who}: expected {size} eigenvalues, got {lambdas.shape[0]}")
+    finite = np.isfinite(lambdas)
+    if not finite.all():  # every comparison below is False for NaN
+        bad = float(lambdas[np.argmin(finite)])
+        raise InvalidSimplexError(f"{who}: non-finite eigenvalue {bad!r}")
     if np.any(lambdas < -_SIMPLEX_TOL):
         raise InvalidSimplexError(f"{who}: negative eigenvalue {lambdas.min():.3e}")
-    total = float(np.sum(lambdas))
+    with np.errstate(over="ignore"):  # an overflowing sum is reported below
+        total = float(np.sum(lambdas))
     if abs(total - 1.0) > _SIMPLEX_TOL:
         raise InvalidSimplexError(f"{who}: eigenvalues sum to {total!r}, not 1")
     if descending and np.any(np.diff(lambdas) > _SIMPLEX_TOL):
@@ -78,8 +83,13 @@ def _on_simplex(P, size):
     P = np.asarray(P, dtype=float)
     if P.shape[-1:] != (size,):
         return np.zeros(P.shape[:-1], dtype=bool)
+    finite = np.all(np.isfinite(P), axis=-1)
     negative = np.any(P < -_SIMPLEX_TOL, axis=-1)
-    return ~negative & ~(np.abs(np.sum(P, axis=-1) - 1.0) > _SIMPLEX_TOL)
+    # an overflowing sum fails the test below; a NaN one only comes from a
+    # row that ``finite`` rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.sum(P, axis=-1)
+    return finite & ~negative & ~(np.abs(total - 1.0) > _SIMPLEX_TOL)
 
 
 @dataclass(frozen=True)

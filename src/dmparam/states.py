@@ -120,8 +120,9 @@ class DensityMatrix:
 
     @classmethod
     def _of(cls, n, m, mat, eigenvalues):
-        """The state ``mat`` that passed :func:`check_states` with ascending
-        ``eigenvalues``; neither array is copied or checked again."""
+        """The state ``mat``, which the caller knows to pass
+        :func:`check_states`, with ascending ``eigenvalues``; neither array
+        is copied or checked again."""
         rho = object.__new__(cls)
         mat.flags.writeable = False
         eigenvalues.flags.writeable = False

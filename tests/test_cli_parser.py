@@ -7,7 +7,9 @@ for the next: a sequence of calls in one process gives the same exit codes,
 stdout, stderr and files as each call in a fresh ``python -m dmparam``.
 """
 
+import argparse
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -29,6 +31,50 @@ def test_handlers_are_looked_up_at_call_time(monkeypatch, capsys):
     assert cli.main(["validate", "--trials", "3"]) == 0
     assert cli.main(["sweep", "--family", "pure_P", "--grid", "alpha=0:1:2"]) == 5
     assert calls == [3, "pure_P"]
+
+
+#: The option strings of each subcommand besides ``--tol-psd`` and
+#: ``--tol-herm``, which ``main`` reads: those its handler reads.
+FLAGS = {
+    "generate": {"--output", "-o", "--format"},
+    "analyze": {"--n", "--m"},
+    "reproduce": {"--seed"},
+    "sweep": {"--output", "-o", "--family", "--grid", "--set"},
+    "validate": {"--seed", "--trials"},
+}
+
+
+def _subparsers():
+    (sub,) = (a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    subparsers = _subparsers()
+    assert sorted(subparsers) == sorted(FLAGS)
+    count = 0
+    for name, sub in subparsers.items():
+        flags = [a for a in sub._actions if a.option_strings and a.dest != "help"]
+        count += len(flags)
+        assert {o for a in flags for o in a.option_strings} == FLAGS[name] | {
+            "--tol-psd", "--tol-herm"}, name
+        source = inspect.getsource(getattr(cli, f"cmd_{name}"))
+        for action in sub._actions:
+            if action.dest not in ("help", "tol_psd", "tol_herm"):
+                assert f"args.{action.dest}" in source, (name, action.dest)
+    assert count == 21
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--format"])
+def test_a_flag_of_another_subcommand_is_a_usage_error(flag, tmp_path, capsys):
+    argv = {"--seed": ["analyze", str(tmp_path / "rho.json"), "--seed", "1"],
+            "--format": ["sweep", "--format", "json", "--family", "pure_P",
+                         "--grid", "alpha=0:1:2", "-o", str(tmp_path / "out.csv")]}[flag]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
 
 
 def _in_process(argv):

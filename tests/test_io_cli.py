@@ -58,6 +58,18 @@ class TestParamFiles:
         assert isinstance(params, BlockParams)
         assert params.blockvecs[0][0][0, 1] == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("kind", ["single", "block"])
+    def test_lambdas_accept_zero_imaginary_pairs(self, tmp_path, kind):
+        lambdas = [[0.4, 0.0], 0.3, [0.2, -0.0], 0.1]
+        payload = {"lambdas": lambdas, "zvecs": [[0.3], [0, 0], [0, 0, 0]]}
+        if kind == "block":
+            payload = {"n": 2, "m": 2, "lambdas": lambdas,
+                       "local_unitaries": [np.eye(2).tolist()] * 2,
+                       "blockvecs": [[np.zeros((2, 2)).tolist()]]}
+        doc = {"schema_version": "1", "kind": kind, "payload": payload}
+        params = load_param_file(_write(tmp_path, "p.json", doc))
+        assert params.lambdas.tolist() == [0.4, 0.3, 0.2, 0.1]
+
     def test_family(self, tmp_path):
         doc = {
             "schema_version": "1",
@@ -251,7 +263,8 @@ class TestCliAnalyze:
         assert main(["analyze", str(path)]) == 2
 
     def test_trace_off_prints_its_own_spectrum(self, tmp_path, capsys):
-        # the state gate zeroes a matrix that fails it; the report must not
+        # the spectrum of the matrix itself, not of the zeros the state gate
+        # puts in place of a matrix that fails it
         path = tmp_path / "bad.json"
         write_matrix(path, np.diag([0.9, 0.6]), "json", n=2, m=1)
         assert main(["analyze", str(path)]) == 4
@@ -259,13 +272,23 @@ class TestCliAnalyze:
         assert "eigenvalues   0.59999999999999998 0.90000000000000002" in text
         assert "trace deviates from 1 by 5.000e-01" in text
 
-    def test_non_finite_entry_exits_2(self, tmp_path, capsys):
-        # a NaN on the diagonal passes the report's own checks; the gate stops it
-        mat = np.eye(4) / 4.0
-        mat[0, 0] = np.nan
-        path = tmp_path / "nan.json"
-        path.write_text(json.dumps({"n": 2, "m": 2, "matrix": mat.tolist()}))
-        assert main(["analyze", str(path)]) == 2
+    # (matrix, file format, dims flags): a NaN on the diagonal gets past the
+    # Hermiticity and trace checks, a NaN off it stops the eigensolver, and an
+    # infinity makes ``inf - inf`` in the Hermiticity check
+    NON_FINITE = {
+        "nan-diagonal-2x2": (np.diag([np.nan, 0.25, 0.25, 0.25]), "json", []),
+        "nan-off-diagonal-3x1": (
+            np.array([[1 / 3, np.nan, 0.0], [0.0, 1 / 3, 0.0], [0.0, 0.0, 1 / 3]]),
+            "matrix_text", ["--n", "3", "--m", "1"]),
+        "inf-2x1": (np.diag([0.5, np.inf]), "matrix_text", ["--n", "2", "--m", "1"]),
+    }
+
+    @pytest.mark.parametrize("case", list(NON_FINITE))
+    def test_non_finite_entry_exits_2(self, case, tmp_path, capsys):
+        mat, fmt, dims = self.NON_FINITE[case]
+        path = tmp_path / "rho"
+        write_matrix(path, mat, fmt, *((2, 2) if fmt == "json" else ()))
+        assert main(["analyze", str(path), *dims]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert "input error: matrix contains non-finite entries" in err

@@ -49,6 +49,16 @@ CASES = {
                   "field 'zvecs[0]': expected a number"),
     "bool-lambdas": (_doc("single", {"lambdas": [True, False], "zvecs": [[[0.3, 0.1]]]}),
                      "field 'lambdas': expected a number"),
+    "complex-single-lambdas": (
+        _doc("single", {"lambdas": [0.6, [0.4, 0.0], [0.0, 1e-20]], "zvecs": [[0.3], [0.1, 0.2]]}),
+        "field 'lambdas': entry 2 has imaginary part 1e-20"),
+    "complex-block-lambdas": (_block(lambdas=[[0.6, 0.5], [0.4, -3], 0.0, 0.0]),
+                              "field 'lambdas': entry 0 has imaginary part 0.5"),
+    "nan-single-lambdas": (_doc("single", {"lambdas": [1.0, float("nan")], "zvecs": [[0.3]]}),
+                           "SingleParams: non-finite eigenvalue nan"),
+    "overflowing-single-lambdas": (
+        _doc("single", {"lambdas": [1e308, 1e308], "zvecs": [[0.3]]}),
+        "SingleParams: eigenvalues sum to inf, not 1"),
     "bool-matrix-file": ({"schema_version": "1", "n": 1, "m": 1, "matrix": [[True]]},
                          "field 'matrix': expected a number"),
     "family-p-object": (_doc("family", {"family": "isotropic", "p": {"a": 1}}), "'p'"),

@@ -3,16 +3,21 @@ import pytest
 from numpy.testing import assert_allclose
 
 from dmparam import (
+    BlockParams,
     DimensionMismatchError,
     InvalidSimplexError,
     SingleParams,
     assemble_rho_single,
+    bell_diagonal,
+    build_core,
     build_Vjn,
     build_Xj_single,
+    circulant_ppt_margins,
     expm_skew,
     param_count,
 )
 from dmparam._random import rand_complex, rand_single_params
+from dmparam.single import _on_simplex
 
 
 class TestSingleParams:
@@ -39,6 +44,36 @@ class TestSingleParams:
     def test_rejects_wrong_zvec_count(self):
         with pytest.raises(DimensionMismatchError):
             SingleParams(3, [0.5, 0.3, 0.2], (np.zeros(1),))
+
+
+#: Non-finite points: NaN passes every comparison of the simplex check, and
+#: ``inf - inf`` makes the sum NaN.
+NON_FINITE = {
+    "nan": [1.0, np.nan, 0.0, 0.0],
+    "inf": [1.0, np.inf, 0.0, 0.0],
+    "inf-minus-inf": [np.inf, -np.inf, 1.0, 0.0],
+}
+#: Every caller of the simplex check, given a four-entry point.
+SIMPLEX_CALLERS = {
+    "SingleParams": lambda p: SingleParams(4, p, tuple(np.zeros(j) for j in (1, 2, 3))),
+    "BlockParams": lambda p: BlockParams(2, 2, p, (np.eye(2),) * 2, ((np.zeros((2, 2)),),)),
+    "build_core": lambda p: build_core(p, (np.eye(2),) * 2, 2, 2),
+    "circulant_ppt_margins": lambda p: circulant_ppt_margins(p, 0.3, 0.4),
+    "bell_diagonal": bell_diagonal,
+}
+
+
+@pytest.mark.parametrize("point", sorted(NON_FINITE))
+@pytest.mark.parametrize("who", sorted(SIMPLEX_CALLERS))
+def test_simplex_rejects_non_finite_eigenvalues(who, point):
+    with pytest.raises(InvalidSimplexError, match=f"^{who}: non-finite eigenvalue"):
+        SIMPLEX_CALLERS[who](NON_FINITE[point])
+
+
+def test_simplex_mask_rejects_non_finite_rows():
+    rows = np.array([[0.25] * 4, [1e308, 1e308, 0.0, 0.0]]
+                    + [NON_FINITE[k] for k in sorted(NON_FINITE)])
+    assert _on_simplex(rows, 4).tolist() == [True, False, False, False, False]
 
 
 class TestGenerator:

@@ -23,7 +23,7 @@ from dmparam import (
     toeplitz_state,
     two_by_m,
 )
-from dmparam import blocks, families
+from dmparam import blocks, cli, families, states
 from dmparam._random import rand_block_params, rand_complex, rand_psd, rand_unitary
 from dmparam.cli import main
 from dmparam.families import _two_by_m_blocks
@@ -217,11 +217,30 @@ def test_class3_state_equals_top_level_column_bitwise(n, m, kind):
 
 
 def test_analyze_runs_the_state_gate_once(tmp_path, calls):
+    # the name is historical: analyze now runs no state gate, only the
+    # eigensolve of its spectrum
     path = tmp_path / "rho.json"
     write_matrix(path, isotropic(0.2).mat, n=2, m=2)
     calls["eigvalsh"] = 0
     assert main(["analyze", str(path)]) == 0
-    assert calls["eigvalsh"] == 2  # the state gate and the partial transpose
+    assert calls["eigvalsh"] == 2  # the spectrum and the partial transpose
+
+
+def test_analyze_takes_its_spectrum_from_one_eigvalsh(tmp_path, monkeypatch):
+    rho = assemble_rho_block(rand_block_params(np.random.default_rng(23), 2, 3)).mat
+    path = tmp_path / "rho.json"
+    write_matrix(path, rho, n=2, m=3)
+    gates, solved = [], []
+    check_states, eigvalsh = states.check_states, np.linalg.eigvalsh
+    for owner in (cli, states):
+        monkeypatch.setattr(owner, "check_states",
+                            lambda *args: gates.append(args) or check_states(*args))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(a) or eigvalsh(a))
+    assert main(["analyze", str(path)]) == 0
+    assert gates == []
+    # one for the spectrum, one for the partial transpose
+    assert len(solved) == 2
+    assert sum(np.array_equal(a, (rho + rho.conj().T) / 2.0) for a in solved) == 1
 
 
 def test_singular_top_level_has_no_closed_Vjnm():
