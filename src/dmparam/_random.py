@@ -42,11 +42,11 @@ def rand_single_params(rng, n, scale=1.0):
     return SingleParams(n=n, lambdas=lambdas, zvecs=zvecs)
 
 
-def rand_block_params(rng, n, m, scale=1.0):
+def rand_block_params(rng, n, m):
     lambdas = rand_simplex(rng, n * m)
     unitaries = tuple(rand_unitary(rng, m) for _ in range(n))
     blockvecs = tuple(
-        tuple(scale * rand_complex(rng, (m, m)) for _ in range(j - 1))
+        tuple(rand_complex(rng, (m, m)) for _ in range(j - 1))
         for j in range(2, n + 1)
     )
     return BlockParams(

@@ -140,7 +140,7 @@ def _angle_data(levels):
     with the thin SVD ``Z = Q diag(sigma) R^dag``: ``Q`` has orthonormal
     columns, ``sigma`` (descending) is the spectrum of ``Xi`` and ``R`` its
     eigenvectors.  All SVDs are one batched call on the levels padded with
-    zero rows to the tallest; a single level is not padded.
+    zero rows to the tallest.
 
     Returns ``sigma`` ``(L, m)``, the conjugate ``Q`` ``(L, Km, m)``, and two
     ``(L, (K + 1) m, m)`` stacks whose first ``(k + 1) m`` rows hold, per
@@ -149,13 +149,10 @@ def _angle_data(levels):
     """
     k = [len(T) for T in levels]
     L, K, m = len(k), max(k), levels[0].shape[-1]
-    if L == 1:
-        Z = levels[0].reshape(1, K * m, m)
-    else:
-        Z = np.zeros((L, K, m, m), dtype=complex)
-        for l, T in enumerate(levels):
-            Z[l, : k[l]] = T
-        Z = Z.reshape(L, K * m, m)
+    Z = np.zeros((L, K, m, m), dtype=complex)
+    for l, T in enumerate(levels):
+        Z[l, : k[l]] = T
+    Z = Z.reshape(L, K * m, m)
     Q, sigma, Rh = np.linalg.svd(Z, full_matrices=False)
     c, s = np.cos(sigma)[:, None], np.sin(sigma)[:, None]
     R = Rh.conj().swapaxes(-1, -2)
@@ -252,35 +249,33 @@ def build_Vjnm(Zs, j: int, m: int) -> np.ndarray:
     identity for an all-zero block vector.
     """
     T, m = _as_blocks(Zs, m, "build_Vjnm", j)
-    return _level_A(T, j, "closed", DEFAULT_TOL)
+    return _level_A(T, j, "closed")
 
 
-def build_Ajnm(
-    Zs, n: int, j: int, m: int, method: str = "closed", tol: Tolerances = DEFAULT_TOL
-) -> np.ndarray:
+def build_Ajnm(Zs, n: int, j: int, m: int, method: str = "closed") -> np.ndarray:
     """Embed the block unitary of level ``j`` into the full ``nm x nm`` space.
 
     ``V_j`` occupies the top-left ``jm x jm`` corner; the remaining ``n - j``
     diagonal blocks are identities.  ``method="closed"`` uses the closed form
     of :func:`build_Vjnm` at every angle, and ``method="exp"`` exponentiates
-    the full generator, whose skew-Hermiticity ``tol`` checks.  The two agree
-    to rounding.
+    the full generator, which is skew-Hermitian by construction.  The two
+    agree to rounding.
     """
     if not 2 <= j <= n:
         raise DimensionMismatchError(f"need 2 <= j <= n, got j={j}, n={n}")
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}")
     T, m = _as_blocks(Zs, m, "build_Ajnm", j)
-    return _level_A(T, n, method, tol)
+    return _level_A(T, n, method)
 
 
-def _level_A(T, n, method, tol):
+def _level_A(T, n, method):
     """``A_j`` of a validated level stack ``T`` (``j = len(T) + 1``)."""
     m = T.shape[1]
     if not np.any(T):
         return np.eye(n * m, dtype=complex)
     if method == "exp":
-        return expm_skew(_generator(T, n), tol)
+        return expm_skew(_generator(T, n))
     return _chain(np.eye(n * m, dtype=complex), (T,))
 
 
@@ -325,26 +320,33 @@ class BlockDiagonalCore:
         return D
 
 
-def build_core(lambdas, local_unitaries, n: int, m: int, tol: Tolerances = DEFAULT_TOL):
+def _check_core(lambdas, local_unitaries, n, m, who):
+    """Read-only copies of the simplex point and the ``n`` local unitaries
+    of a core, checked: each unitary within ``UNITARY_TOL`` and of size ``m``."""
+    lambdas = _check_simplex(lambdas, n * m, False, who)
+    lambdas.flags.writeable = False
+    if len(local_unitaries) != n:
+        raise DimensionMismatchError(
+            f"{who}: expected {n} local unitaries, got {len(local_unitaries)}"
+        )
+    unitaries = []
+    for k, U in enumerate(local_unitaries, start=1):
+        U = np.array(_require_unitary(U, f"{who}: U_{k}"))
+        if U.shape[0] != m:
+            raise DimensionMismatchError(f"{who}: U_{k} has size {U.shape[0]}, expected {m}")
+        U.flags.writeable = False
+        unitaries.append(U)
+    return lambdas, tuple(unitaries)
+
+
+def build_core(lambdas, local_unitaries, n: int, m: int):
     """Core blocks ``Lambda_k = U_k diag(slice_k) U_k^dag``.
 
     ``slice_k`` is the k-th consecutive run of ``m`` eigenvalues.  For
-    ``m = 1`` each block is the bare scalar ``lambdas[k]``.
+    ``m = 1`` each block is the bare scalar ``lambdas[k]``.  Unitaries are
+    checked within ``UNITARY_TOL``.
     """
-    lambdas = _check_simplex(lambdas, n * m, False, "build_core")
-    if len(local_unitaries) != n:
-        raise DimensionMismatchError(
-            f"build_core: expected {n} local unitaries, got {len(local_unitaries)}"
-        )
-    unitaries = []
-    for k, U in enumerate(local_unitaries):
-        U = _require_unitary(U, tol, f"build_core: U_{k + 1}")
-        if U.shape[0] != m:
-            raise DimensionMismatchError(
-                f"build_core: U_{k + 1} has size {U.shape[0]}, expected {m}"
-            )
-        unitaries.append(U)
-    D = _core(lambdas, unitaries)
+    D = _core(*_check_core(lambdas, local_unitaries, n, m, "build_core"))
     D.flags.writeable = False
     return BlockDiagonalCore._of(D[k * m : (k + 1) * m, k * m : (k + 1) * m] for k in range(n))
 
@@ -369,9 +371,9 @@ class BlockParams:
     ``local_unitaries`` are the ``n`` unitaries entering the core blocks and
     ``blockvecs[j - 2]`` is the block vector of ``j - 1`` matrices of size
     ``m x m`` for ``j = 2..n``.
-    Construction checks unitaries at ``DEFAULT_TOL``, whatever ``tol`` the
-    state is assembled with, and keeps each level of ``blockvecs`` as one
-    read-only ``(j - 1, m, m)`` stack, which assembly does not check again.
+    Construction checks ``lambdas`` and the unitaries as :func:`build_core`
+    does, and keeps each level of ``blockvecs`` as one read-only
+    ``(j - 1, m, m)`` stack, which assembly does not check again.
     """
 
     n: int
@@ -385,23 +387,9 @@ class BlockParams:
             raise DimensionMismatchError(
                 f"dims must be positive, got n={self.n}, m={self.m}"
             )
-        lambdas = _check_simplex(self.lambdas, self.n * self.m, False, "BlockParams")
-        lambdas.flags.writeable = False
-        if len(self.local_unitaries) != self.n:
-            raise DimensionMismatchError(
-                f"expected {self.n} local unitaries, got {len(self.local_unitaries)}"
-            )
-        unitaries = []
-        for k, U in enumerate(self.local_unitaries):
-            U = np.array(
-                _require_unitary(U, DEFAULT_TOL, f"BlockParams: U_{k + 1}")
-            )
-            if U.shape[0] != self.m:
-                raise DimensionMismatchError(
-                    f"U_{k + 1} has size {U.shape[0]}, expected {self.m}"
-                )
-            U.flags.writeable = False
-            unitaries.append(U)
+        lambdas, unitaries = _check_core(
+            self.lambdas, self.local_unitaries, self.n, self.m, "BlockParams"
+        )
         if len(self.blockvecs) != self.n - 1:
             raise DimensionMismatchError(
                 f"expected {self.n - 1} block vectors, got {len(self.blockvecs)}"
@@ -412,7 +400,7 @@ class BlockParams:
             T.flags.writeable = False
             vecs.append(T)
         object.__setattr__(self, "lambdas", lambdas)
-        object.__setattr__(self, "local_unitaries", tuple(unitaries))
+        object.__setattr__(self, "local_unitaries", unitaries)
         object.__setattr__(self, "blockvecs", tuple(vecs))
 
 
@@ -427,8 +415,7 @@ def assemble_rho_block(
     ``method`` picks each level's unitary as in :func:`build_Ajnm`: the
     closed form touches only the top-left ``jm`` corner of the product, at
     every angle, and ``exp`` multiplies by the full exponential.  ``tol``
-    sets the :class:`DensityMatrix` gate and the skew-Hermiticity check of
-    ``exp``; ``p`` is checked.
+    sets the :class:`DensityMatrix` gate; ``p`` is checked.
     """
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -438,7 +425,7 @@ def assemble_rho_block(
     if method == "exp":
         for T in p.blockvecs:
             if np.any(T):
-                U = _level_A(T, n, method, tol) @ U
+                U = _level_A(T, n, method) @ U
     elif p.blockvecs:
         _chain(U, p.blockvecs)
     rho = U @ D @ U.conj().T

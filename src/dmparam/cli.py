@@ -46,6 +46,7 @@ from .errors import (
     DimensionMismatchError,
     DmParamError,
     NotPsdError,
+    OutOfRangeError,
     SingularAngleError,
 )
 from .families import FAMILIES, build_family
@@ -123,6 +124,13 @@ def cmd_analyze(args, tol) -> int:
 
     if not np.isfinite(mat).all():
         raise DimensionMismatchError("matrix contains non-finite entries")
+    # Nothing below exceeds (2 nm max|entry|)^2, the square sum inside ||mat - mat^dag||_F.
+    limit = math.sqrt(np.finfo(float).max) / (2 * n * m)
+    big = np.argwhere(np.abs(mat) > limit).tolist()
+    if big:
+        where = ", ".join(f"({i}, {j})" for i, j in big[:3]) + (", ..." if big[3:] else "")
+        raise OutOfRangeError(
+            f"matrix entries too large to analyze: |entry| > {limit:.3e} at {where}")
 
     herm_dev = float(np.linalg.norm(mat - mat.conj().T))
     scale = max(float(np.linalg.norm(mat)), 1.0)

@@ -182,7 +182,7 @@ def circulant_conditions(p, alpha: float, beta: float) -> bool:
     return m1 >= 0.0 and m2 >= 0.0
 
 
-def detect_structure(rho: DensityMatrix, rel_tol: float = STRUCTURE_TOL) -> str:
+def detect_structure(rho: DensityMatrix) -> str:
     """Classify a 2 (x) m state by its block pattern.
 
     Returns one of ``"block_diagonal"``, ``"block_toeplitz"``,
@@ -193,7 +193,7 @@ def detect_structure(rho: DensityMatrix, rel_tol: float = STRUCTURE_TOL) -> str:
       paired automatically by Hermiticity);
     * block Hankel: the two off-diagonal blocks are equal (hence Hermitian).
 
-    Block comparisons use the relative Frobenius tolerance ``rel_tol``.
+    Block comparisons use the relative Frobenius tolerance ``STRUCTURE_TOL``.
     """
     if not isinstance(rho, DensityMatrix):
         raise MissingFactorizationError("detect_structure needs a DensityMatrix")
@@ -209,10 +209,10 @@ def detect_structure(rho: DensityMatrix, rel_tol: float = STRUCTURE_TOL) -> str:
     B22 = mat[m:, m:]
     scale = max(np.linalg.norm(mat), 1.0)
     off = max(np.linalg.norm(B12), np.linalg.norm(B21))
-    if off <= rel_tol * scale:
+    if off <= STRUCTURE_TOL * scale:
         return "block_diagonal"
-    if np.linalg.norm(B11 - B22) <= rel_tol * scale:
+    if np.linalg.norm(B11 - B22) <= STRUCTURE_TOL * scale:
         return "block_toeplitz"
-    if np.linalg.norm(B12 - B21) <= rel_tol * scale:
+    if np.linalg.norm(B12 - B21) <= STRUCTURE_TOL * scale:
         return "block_hankel"
     return "none"

@@ -215,7 +215,7 @@ def two_by_m(U, L1, L2, Xi2, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
     ``diag(L1, L2)``; ``Xi2 = (pi/2) I`` swaps the blocks up to the local
     unitary.
     """
-    U = _require_unitary(U, tol, "two_by_m: U")
+    U = _require_unitary(U, "two_by_m: U")
     m = U.shape[0]
     L1, _ = _require_psd(L1, tol, "two_by_m: L1")
     L2, _ = _require_psd(L2, tol, "two_by_m: L2")
@@ -231,9 +231,9 @@ def two_by_m(U, L1, L2, Xi2, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
     return DensityMatrix(2, m, rho, tol)
 
 
-def _check_condition(name, residual, tol=_COND_TOL):
-    if residual > tol:
-        raise ConditionViolatedError(name, residual, tol)
+def _check_condition(name, residual):
+    if residual > _COND_TOL:
+        raise ConditionViolatedError(name, residual, _COND_TOL)
 
 
 def toeplitz_state(L, U, Xi2, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
@@ -250,7 +250,7 @@ def toeplitz_state(L, U, Xi2, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
     diagonal.
     """
     L, _ = _require_psd(L, tol, "toeplitz_state: L")
-    U = _require_unitary(U, tol, "toeplitz_state: U")
+    U = _require_unitary(U, "toeplitz_state: U")
     Xi2, (C, S) = _require_psd(Xi2, tol, "toeplitz_state: Xi2", ("cos", "sin"))
     m = L.shape[0]
     if not U.shape == Xi2.shape == (m, m):
@@ -280,7 +280,7 @@ def hankel_state(U, L1, L2, Xi2, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix
     ``A2 = C L2 C + S U^dag L1 U S``: equal off-diagonal blocks, i.e. block
     Hankel, hence PPT.
     """
-    U = _require_unitary(U, tol, "hankel_state: U")
+    U = _require_unitary(U, "hankel_state: U")
     L1, _ = _require_psd(L1, tol, "hankel_state: L1")
     L2, _ = _require_psd(L2, tol, "hankel_state: L2")
     Xi2, (C, S) = _require_psd(Xi2, tol, "hankel_state: Xi2", ("cos", "sin"))
@@ -336,7 +336,7 @@ def nonabelian_bloch(U, Xi2, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
     both idempotence and agreement with ``class3_state(2, m, [U @ Xi2])``).
     Parameterized by ``2 m^2`` real numbers: a unitary and a PSD angle.
     """
-    U = _require_unitary(U, tol, "nonabelian_bloch: U")
+    U = _require_unitary(U, "nonabelian_bloch: U")
     Xi2, (C, S) = _require_psd(Xi2, tol, "nonabelian_bloch: Xi2", ("cos", "sin"))
     m = U.shape[0]
     if Xi2.shape != (m, m):
@@ -359,7 +359,7 @@ def nonabelian_sphere_check(Ps) -> bool:
                 "nonabelian_sphere_check: blocks must share one square shape"
             )
     total = sum(P @ P for P in Ps)
-    return bool(np.linalg.norm(total - np.eye(m)) <= 1e-10)
+    return bool(np.linalg.norm(total - np.eye(m)) <= _COND_TOL)
 
 
 @dataclass(frozen=True)

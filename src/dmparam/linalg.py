@@ -31,6 +31,8 @@ __all__ = [
     "Tolerances",
     "DEFAULT_TOL",
     "TRACE_TOL",
+    "UNITARY_TOL",
+    "RECON_TOL",
     "Spectrum",
     "herm_eig",
     "expm_skew",
@@ -44,7 +46,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical tolerances shared by validation routines.
+    """The two tolerances a caller sets; every other bound is a module constant.
 
     Attributes
     ----------
@@ -52,16 +54,10 @@ class Tolerances:
         Relative Hermiticity deviation, ``||M - M^dag|| <= tol_herm * ||M||``.
     tol_psd : float
         Most negative admissible eigenvalue (absolute).
-    tol_unitary : float
-        Allowed deviation of ``U^dag U`` from the identity.
-    tol_recon : float
-        Allowed eigendecomposition reconstruction residual.
     """
 
     tol_herm: float = 1e-12
     tol_psd: float = 1e-10
-    tol_unitary: float = 1e-10
-    tol_recon: float = 1e-10
 
     def __post_init__(self):
         for name, value in vars(self).items():
@@ -73,6 +69,12 @@ DEFAULT_TOL = Tolerances()
 
 #: Allowed deviation of a state's (or a core's) trace from 1.
 TRACE_TOL = 1e-10
+
+#: Allowed Frobenius deviation of ``U^dag U`` from the identity.
+UNITARY_TOL = 1e-10
+
+#: Allowed eigendecomposition reconstruction residual, relative to ``max(||M||, 1)``.
+RECON_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -107,10 +109,10 @@ def _require_hermitian(M, tol, who):
     return M
 
 
-def _require_unitary(U, tol, who):
+def _require_unitary(U, who):
     U = _as_square(U, who)
     dev = np.linalg.norm(U.conj().T @ U - np.eye(U.shape[0]))
-    if dev > tol.tol_unitary:
+    if dev > UNITARY_TOL:
         raise NotUnitaryError(f"{who}: unitarity deviation {dev:.3e} exceeds tolerance")
     return U
 
@@ -160,7 +162,7 @@ def herm_eig(M, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise ConvergenceFailureError(f"herm_eig: eigensolver failed: {exc}") from exc
     residual = np.linalg.norm((V * w) @ V.conj().T - M)
-    if residual > tol.tol_recon * max(np.linalg.norm(M), 1.0):
+    if residual > RECON_TOL * max(np.linalg.norm(M), 1.0):
         raise ConvergenceFailureError(
             f"herm_eig: reconstruction residual {residual:.3e} exceeds tolerance"
         )

@@ -16,6 +16,7 @@ import numpy as np
 from . import _random as rnd
 from .blocks import BlockParams, assemble_rho_block, normalize_blocks
 from .entanglement import (
+    BOUNDARY_BAND,
     circulant_ppt_margins,
     detect_structure,
     partial_transpose,
@@ -36,6 +37,7 @@ from .families import (
 from .io import fmt_float
 from .linalg import (
     DEFAULT_TOL,
+    RECON_TOL,
     expm_skew,
     haar_unitary,
     herm_eig,
@@ -95,7 +97,7 @@ def run_validation(seed: int, trials: int, tol=DEFAULT_TOL):
         res.append(
             np.linalg.norm((sp.eigenvectors * sp.eigenvalues) @ sp.eigenvectors.conj().T - H)
         )
-    results.append(_check("herm_eig reconstruction", tol.tol_recon * 10, res))
+    results.append(_check("herm_eig reconstruction", RECON_TOL * 10, res))
 
     # Skew exponential unitarity.
     res = []
@@ -234,7 +236,7 @@ def run_validation(seed: int, trials: int, tol=DEFAULT_TOL):
         alpha = rng.uniform(0.0, np.pi / 2)
         beta = rng.uniform(0.0, np.pi / 2)
         m1, m2 = circulant_ppt_margins(p, alpha, beta)
-        if abs(min(m1, m2)) < 1e-9:
+        if abs(min(m1, m2)) < BOUNDARY_BAND:
             continue  # boundary band: labeled, not adjudicated
         analytic = m1 >= 0 and m2 >= 0
         numeric = ppt_check(circulant_rho(p, alpha, beta), tol).is_ppt

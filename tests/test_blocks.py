@@ -1,3 +1,6 @@
+import inspect
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -17,6 +20,7 @@ from dmparam import (
     build_Vjn,
     build_Vjnm,
     build_Xj_block,
+    detect_structure,
     expm_skew,
     haar_unitary,
     normalize_blocks,
@@ -27,6 +31,7 @@ from dmparam._random import (
     rand_single_params,
     rand_unitary,
 )
+from dmparam.linalg import UNITARY_TOL
 
 EYE2 = np.eye(2, dtype=complex)
 
@@ -51,6 +56,29 @@ class TestBlockParams:
     def test_rejects_wrong_block_count(self):
         with pytest.raises(DimensionMismatchError):
             BlockParams(3, 2, [1 / 6.0] * 6, (EYE2,) * 3, ((np.zeros((2, 2)),),))
+
+
+# (local unitaries of a 2 (x) 2 core, error type, message after the caller's name)
+CORE_FAULTS = {
+    "count": ((EYE2,), DimensionMismatchError, "expected 2 local unitaries, got 1"),
+    "size": ((np.eye(3),) * 2, DimensionMismatchError, "U_1 has size 3, expected 2"),
+    "deviation": ((EYE2, np.diag([np.sqrt(1.0 + 2 * UNITARY_TOL), 1.0])), NotUnitaryError,
+                  "U_2: unitarity deviation"),
+}
+
+
+@pytest.mark.parametrize("case", list(CORE_FAULTS))
+def test_block_params_and_build_core_check_the_core_alike(case):
+    unitaries, error, message = CORE_FAULTS[case]
+    with pytest.raises(error, match="^" + re.escape(f"BlockParams: {message}")):
+        BlockParams(2, 2, [0.25] * 4, unitaries, ((np.zeros((2, 2)),),))
+    with pytest.raises(error, match="^" + re.escape(f"build_core: {message}")):
+        build_core([0.25] * 4, unitaries, 2, 2)
+
+
+@pytest.mark.parametrize("fn", [build_core, build_Ajnm, detect_structure])
+def test_takes_no_tolerance(fn):
+    assert not {"tol", "rel_tol"} & set(inspect.signature(fn).parameters)
 
 
 class TestBlockAngle:

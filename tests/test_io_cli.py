@@ -293,6 +293,32 @@ class TestCliAnalyze:
         assert out == ""
         assert "input error: matrix contains non-finite entries" in err
 
+    # finite entries whose squares overflow in the Hermiticity norm or the purity,
+    # the bound sqrt(max double) / 2nm and the entries named
+    OVERSIZED = {
+        "1e308-2x1": ([[1e308, 1e308], [-1e308, 0.5]], "3.352e+153 at (0, 0), (0, 1), (1, 0)"),
+        "1e200-2x1": ([[1e200, 0.0], [0.0, 0.5]], "3.352e+153 at (0, 0)"),
+        "1e200-4x1": (np.full((4, 4), 1e200), "1.676e+153 at (0, 0), (0, 1), (0, 2), ..."),
+    }
+
+    @pytest.mark.parametrize("case", list(OVERSIZED))
+    def test_oversized_entry_exits_2_before_any_arithmetic(self, case, tmp_path, capsys):
+        mat, named = self.OVERSIZED[case]
+        path = tmp_path / "rho.json"
+        write_matrix(path, np.array(mat), "json", n=len(mat), m=1)
+        assert main(["analyze", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"input error: matrix entries too large to analyze: |entry| > {named}\n"
+
+    def test_entries_up_to_1e150_are_analyzed(self, tmp_path, capsys):
+        path = tmp_path / "rho.json"
+        write_matrix(path, np.diag([1e150, 0.5]), "json", n=2, m=1)
+        assert main(["analyze", str(path)]) == 4
+        text = capsys.readouterr().out
+        assert "eigenvalues   0.5 9.9999999999999998e+149" in text
+        assert "purity        9.999999999999999e+299" in text
+
 
 class TestCliReproduce:
     NAMES = ["pure_P", "isotropic_threshold", "circulant_pi12", "bell_boundary",

@@ -1,10 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
 from dmparam import (
-    DEFAULT_TOL,
     NotHermitianError,
     NotPsdError,
     NotSkewHermitianError,
@@ -19,6 +20,12 @@ from dmparam import (
     psd_check,
 )
 from dmparam._random import rand_complex, rand_hermitian, rand_psd, rand_skew
+from dmparam.linalg import RECON_TOL, UNITARY_TOL
+
+
+def test_tolerances_are_the_two_the_cli_sets():
+    assert tuple(f.name for f in dataclasses.fields(Tolerances)) == ("tol_herm", "tol_psd")
+    assert UNITARY_TOL == RECON_TOL == 1e-10
 
 
 def test_tolerances_validation():
@@ -54,7 +61,7 @@ class TestHermEig:
                 H = rand_hermitian(rng, d)
                 sp = herm_eig(H)
                 recon = (sp.eigenvectors * sp.eigenvalues) @ sp.eigenvectors.conj().T
-                assert np.linalg.norm(recon - H) <= DEFAULT_TOL.tol_recon * max(
+                assert np.linalg.norm(recon - H) <= RECON_TOL * max(
                     1.0, np.linalg.norm(H)
                 )
                 assert np.all(np.diff(sp.eigenvalues) >= 0)
