@@ -12,6 +12,8 @@ from dmparam import (
     assemble_rho_block,
     block_angle,
     build_Ajnm,
+    build_Xj_block,
+    expm_skew,
     haar_unitary,
     normalize_blocks,
 )
@@ -28,10 +30,11 @@ Zt = normalize_blocks(Zs)
 print("sum Zt^dag Zt = I:",
       np.allclose(sum(z.conj().T @ z for z in Zt), np.eye(2)))
 
-# --- closed form vs exponential path ----------------------------------------
-closed = build_Ajnm(Zs, n=3, j=3, m=2, method="closed")
-exact = build_Ajnm(Zs, n=3, j=3, m=2, method="exp")
-print("dual-path agreement:", np.max(np.abs(closed - exact)))
+# --- closed form vs the exponential that defines it -------------------------
+# A_j is defined as exp(X_j); build_Ajnm evaluates it in closed form.
+closed = build_Ajnm(Zs, n=3, j=3, m=2)
+exact = expm_skew(build_Xj_block(Zs, n=3, j=3, m=2))
+print("closed form vs exp(X_j):", np.max(np.abs(closed - exact)))
 
 # --- a full 3 (x) 2 state ----------------------------------------------------
 lam = rng.dirichlet(np.ones(6))

@@ -46,7 +46,6 @@ from .errors import (
 )
 from .families import (
     SIGMA_X,
-    SIGMA_Z,
     FamilySpec,
     bell_diagonal,
     build_family,
@@ -72,7 +71,6 @@ from .linalg import (
     kron,
     matfun_psd,
     polar,
-    psd_check,
 )
 from .single import (
     SingleParams,

@@ -19,19 +19,20 @@ Scalars of the single-system chain are promoted to ``m x m`` matrices:
 The block unitary ``V_j`` (size ``jm``) has top-left part
 ``I - Zh (I - C) Zh^dag``, last block column ``Zh S``, last block row
 ``-S Zh^dag`` and corner ``C``, where ``Zh`` stacks the blocks ``Zt_k`` into
-one ``(j-1)m x m`` matrix; it equals the top-left block of ``exp(X_j)``
-exactly, which is the ground truth whenever the closed form and the
-exponential path could disagree.
+one ``(j-1)m x m`` matrix.  It equals the top-left block of ``exp(X_j)``,
+the paper's definition of ``A_j``.  This module never exponentiates a
+level; the exponential chain is the oracle that ``dmparam validate`` and
+the tests check it against (``validate._exp_chain``).
 
-There is one closed form for every angle, singular ones included, and no
-fallback to the exponential.  With the thin SVD ``Z = Q diag(sigma) R^dag``
-of the stacked blocks, ``Zh = Q R^dag`` is the polar factor of ``Z``,
-``C = R cos(sigma) R^dag`` and ``S = R sin(sigma) R^dag``; where ``Xi`` is
-singular the polar factor is not unique, but every choice gives the same
-``V_j``, since it enters only through ``1 - cos`` and ``sin`` of a zero
-angle.  ``V_j`` built from orthonormal ``Q`` and unitary ``R`` is unitary to
-rounding at every scale of ``Z``.  Only :func:`normalize_blocks`, which
-returns ``Zh`` itself, raises ``SingularAngleError`` there.
+There is one closed form for every angle, singular ones included.  With the
+thin SVD ``Z = Q diag(sigma) R^dag`` of the stacked blocks, ``Zh = Q R^dag``
+is the polar factor of ``Z``, ``C = R cos(sigma) R^dag`` and
+``S = R sin(sigma) R^dag``; where ``Xi`` is singular the polar factor is
+not unique, but every choice gives the same ``V_j``, since it enters only
+through ``1 - cos`` and ``sin`` of a zero angle.  ``V_j`` built from
+orthonormal ``Q`` and unitary ``R`` is unitary to rounding at every scale of
+``Z``.  Only :func:`normalize_blocks`, which returns ``Zh`` itself, raises
+``SingularAngleError`` there.
 
 ``A_j`` is the identity outside its top ``jm`` rows and columns, and so is
 the running product ``A_{j-1} ... A_2`` outside its top ``(j-1)m``.  So the
@@ -70,7 +71,7 @@ from .errors import (
     OutOfRangeError,
     SingularAngleError,
 )
-from .linalg import DEFAULT_TOL, TRACE_TOL, Tolerances, _require_unitary, expm_skew
+from .linalg import DEFAULT_TOL, TRACE_TOL, Tolerances, _require_unitary
 from .single import _check_simplex
 from .states import DensityMatrix
 
@@ -85,8 +86,6 @@ __all__ = [
     "build_core",
     "assemble_rho_block",
 ]
-
-_METHODS = ("closed", "exp")
 
 #: Largest Gram trace whose symmetrization ``G + G^dag`` stays finite.
 _GRAM_MAX = np.finfo(float).max / 2.0
@@ -249,33 +248,19 @@ def build_Vjnm(Zs, j: int, m: int) -> np.ndarray:
     identity for an all-zero block vector.
     """
     T, m = _as_blocks(Zs, m, "build_Vjnm", j)
-    return _level_A(T, j, "closed")
+    return _chain(np.eye(j * m, dtype=complex), (T,))
 
 
-def build_Ajnm(Zs, n: int, j: int, m: int, method: str = "closed") -> np.ndarray:
+def build_Ajnm(Zs, n: int, j: int, m: int) -> np.ndarray:
     """Embed the block unitary of level ``j`` into the full ``nm x nm`` space.
 
-    ``V_j`` occupies the top-left ``jm x jm`` corner; the remaining ``n - j``
-    diagonal blocks are identities.  ``method="closed"`` uses the closed form
-    of :func:`build_Vjnm` at every angle, and ``method="exp"`` exponentiates
-    the full generator, which is skew-Hermitian by construction.  The two
-    agree to rounding.
+    ``V_j`` of :func:`build_Vjnm` occupies the top-left ``jm x jm`` corner;
+    the remaining ``n - j`` diagonal blocks are identities.  The result
+    equals ``expm_skew(build_Xj_block(Z_j, n, j, m))`` to rounding.
     """
     if not 2 <= j <= n:
         raise DimensionMismatchError(f"need 2 <= j <= n, got j={j}, n={n}")
-    if method not in _METHODS:
-        raise ValueError(f"unknown method {method!r}")
     T, m = _as_blocks(Zs, m, "build_Ajnm", j)
-    return _level_A(T, n, method)
-
-
-def _level_A(T, n, method):
-    """``A_j`` of a validated level stack ``T`` (``j = len(T) + 1``)."""
-    m = T.shape[1]
-    if not np.any(T):
-        return np.eye(n * m, dtype=complex)
-    if method == "exp":
-        return expm_skew(_generator(T, n))
     return _chain(np.eye(n * m, dtype=complex), (T,))
 
 
@@ -385,14 +370,14 @@ class BlockParams:
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
             raise DimensionMismatchError(
-                f"dims must be positive, got n={self.n}, m={self.m}"
+                f"BlockParams: dims must be positive, got n={self.n}, m={self.m}"
             )
         lambdas, unitaries = _check_core(
             self.lambdas, self.local_unitaries, self.n, self.m, "BlockParams"
         )
         if len(self.blockvecs) != self.n - 1:
             raise DimensionMismatchError(
-                f"expected {self.n - 1} block vectors, got {len(self.blockvecs)}"
+                f"BlockParams: expected {self.n - 1} block vectors, got {len(self.blockvecs)}"
             )
         vecs = []
         for j, Zs in enumerate(self.blockvecs, start=2):
@@ -404,29 +389,20 @@ class BlockParams:
         object.__setattr__(self, "blockvecs", tuple(vecs))
 
 
-def assemble_rho_block(
-    p: BlockParams, tol: Tolerances = DEFAULT_TOL, method: str = "closed"
-) -> DensityMatrix:
+def assemble_rho_block(p: BlockParams, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
     """Assemble ``rho = A_n ... A_2 D(Lambda_1 | ... | Lambda_n) A_2^dag ... A_n^dag``.
 
     The spectrum of the result equals ``p.lambdas`` as a multiset and the
     factorization metadata ``(n, m)`` is carried along.  With all block
     vectors zero the state is block diagonal with blocks ``Lambda_k``.
-    ``method`` picks each level's unitary as in :func:`build_Ajnm`: the
-    closed form touches only the top-left ``jm`` corner of the product, at
-    every angle, and ``exp`` multiplies by the full exponential.  ``tol``
-    sets the :class:`DensityMatrix` gate; ``p`` is checked.
+    Each level's closed form touches only the top-left ``jm`` corner of the
+    product, at every angle.  ``tol`` sets the :class:`DensityMatrix` gate;
+    ``p`` is checked.
     """
-    if method not in _METHODS:
-        raise ValueError(f"unknown method {method!r}")
     n, m = p.n, p.m
     D = _core(p.lambdas, p.local_unitaries)
     U = np.eye(n * m, dtype=complex)
-    if method == "exp":
-        for T in p.blockvecs:
-            if np.any(T):
-                U = _level_A(T, n, method) @ U
-    elif p.blockvecs:
+    if p.blockvecs:
         _chain(U, p.blockvecs)
     rho = U @ D @ U.conj().T
     rho = (rho + rho.conj().T) / 2.0

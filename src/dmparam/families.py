@@ -13,10 +13,9 @@ analytic PPT margin, so a sweep builds, gates and partially transposes a
 whole chunk of grid points at once and gets the same bits as the
 constructor at every point.
 
-Conventions fixed here once and for all: ``sigma_z = diag(1, -1)``,
-``sigma_x = [[0, 1], [1, 0]]``, and the 2 (x) 2 basis is ordered
-``|00>, |01>, |10>, |11>`` so that printed matrices can be compared entry
-by entry.  All angles are radians.
+Conventions fixed here once and for all: ``sigma_x = [[0, 1], [1, 0]]``,
+and the 2 (x) 2 basis is ordered ``|00>, |01>, |10>, |11>`` so that printed
+matrices can be compared entry by entry.  All angles are radians.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ from .states import DensityMatrix
 
 __all__ = [
     "SIGMA_X",
-    "SIGMA_Z",
     "FAMILIES",
     "Family",
     "FamilySpec",
@@ -61,7 +59,6 @@ __all__ = [
 ]
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 _COND_TOL = 1e-10
 

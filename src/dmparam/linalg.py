@@ -38,7 +38,6 @@ __all__ = [
     "expm_skew",
     "matfun_psd",
     "polar",
-    "psd_check",
     "haar_unitary",
     "kron",
 ]
@@ -117,20 +116,12 @@ def _require_unitary(U, who):
     return U
 
 
-def _psd_eig(M, tol, who, vectors=False):
-    """The PSD check: ``M`` Hermitian within ``tol.tol_herm``, one eigensolve.
-
-    Returns ``(M, w, V)``, ``V`` only with ``vectors`` (``eigvalsh`` runs
-    otherwise); ``M`` is PSD iff ``w[0] >= -tol.tol_psd``.
-    """
-    M = _require_hermitian(M, tol, who)
-    return (M, *np.linalg.eigh(M)) if vectors else (M, np.linalg.eigvalsh(M), None)
-
-
 def _require_psd(M, tol, who, kinds=()):
-    """``M``, raising :class:`NotPsdError` unless PSD, and ``f(M)`` for each
-    :func:`matfun_psd` kind from the same eigendecomposition."""
-    M, w, V = _psd_eig(M, tol, who, bool(kinds))
+    """``M``, raising :class:`NotPsdError` unless PSD (Hermitian within
+    ``tol.tol_herm``, no eigenvalue below ``-tol.tol_psd``), and ``f(M)`` for
+    each :func:`matfun_psd` kind from the same eigendecomposition."""
+    M = _require_hermitian(M, tol, who)
+    w, V = np.linalg.eigh(M) if kinds else (np.linalg.eigvalsh(M), None)
     if w.size and w[0] < -tol.tol_psd:
         raise NotPsdError(f"{who}: eigenvalue {w[0]:.3e} below -tol_psd")
     w = np.clip(w, 0.0, None)
@@ -232,19 +223,6 @@ def polar(Z):
     P = (P + P.conj().T) / 2.0
     U = W @ Vh
     return P, U
-
-
-def psd_check(M, tol: Tolerances = DEFAULT_TOL):
-    """Smallest eigenvalue test for positive semidefiniteness.
-
-    Returns
-    -------
-    (is_psd, min_eig) : tuple of (bool, float)
-        ``is_psd`` is true iff ``min_eig >= -tol.tol_psd``.
-    """
-    _, w, _ = _psd_eig(M, tol, "psd_check")
-    min_eig = float(w[0])
-    return min_eig >= -tol.tol_psd, min_eig
 
 
 def haar_unitary(m: int, seed: int) -> np.ndarray:

@@ -109,22 +109,24 @@ class SingleParams:
 
     def __post_init__(self):
         if self.n < 1:
-            raise DimensionMismatchError(f"n must be >= 1, got {self.n}")
+            raise DimensionMismatchError(f"SingleParams: n must be >= 1, got {self.n}")
         lambdas = _check_simplex(self.lambdas, self.n, True, "SingleParams")
         lambdas.flags.writeable = False
         zvecs = []
         if len(self.zvecs) != self.n - 1:
             raise DimensionMismatchError(
-                f"expected {self.n - 1} z-vectors, got {len(self.zvecs)}"
+                f"SingleParams: expected {self.n - 1} z-vectors, got {len(self.zvecs)}"
             )
         for j, z in enumerate(self.zvecs, start=2):
             z = np.array(z, dtype=complex).reshape(-1)
             if z.shape[0] != j - 1:
                 raise DimensionMismatchError(
-                    f"z-vector for j={j} must have length {j - 1}, got {z.shape[0]}"
+                    f"SingleParams: z-vector for j={j} must have length {j - 1}, got {z.shape[0]}"
                 )
             if not np.all(np.isfinite(z)):
-                raise DimensionMismatchError(f"z-vector for j={j} has non-finite entries")
+                raise DimensionMismatchError(
+                    f"SingleParams: z-vector for j={j} has non-finite entries"
+                )
             z.flags.writeable = False
             zvecs.append(z)
         object.__setattr__(self, "lambdas", lambdas)

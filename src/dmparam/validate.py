@@ -14,7 +14,7 @@ import json
 import numpy as np
 
 from . import _random as rnd
-from .blocks import BlockParams, assemble_rho_block, normalize_blocks
+from .blocks import BlockParams, assemble_rho_block, build_Xj_block, normalize_blocks
 from .entanglement import (
     BOUNDARY_BAND,
     circulant_ppt_margins,
@@ -162,14 +162,15 @@ def run_validation(seed: int, trials: int, tol=DEFAULT_TOL):
         res.append(_spectrum_gap(rho, p.lambdas))
     results.append(_check("single chain", 1e-10, res))
 
-    # Block chain: dual path, spectrum preservation, m = 1 reduction.
+    # Block chain: closed form vs the exponential reference, spectrum
+    # preservation, m = 1 reduction.
     res = []
     for _ in range(trials):
         n = int(rng.integers(2, 4))
         m = int(rng.integers(2, 4))
         p = rnd.rand_block_params(rng, n, m)
-        rho_c = assemble_rho_block(p, tol, method="closed")
-        rho_e = assemble_rho_block(p, tol, method="exp")
+        rho_c = assemble_rho_block(p, tol)
+        rho_e = _exp_chain(p, tol)
         res.append(_gap(rho_c, rho_e))
         res.append(_spectrum_gap(rho_c, p.lambdas))
     for _ in range(trials):
@@ -275,6 +276,26 @@ def run_validation(seed: int, trials: int, tol=DEFAULT_TOL):
     results.append(_check("rank-m projector class", 1e-10, res))
 
     return results
+
+
+def _exp_chain(p, tol=DEFAULT_TOL):
+    """The paper's definition of the state of ``p``, the oracle of
+    :func:`assemble_rho_block`: ``rho = U D U^dag`` with ``U = A_n ... A_2``,
+    ``A_j = exp(X_j)`` of the full generator of level ``j`` (all-zero levels
+    skipped), and ``D`` the block-diagonal matrix of the
+    ``U_k diag(slice_k) U_k^dag``.  It shares only :func:`build_Xj_block`
+    and :func:`expm_skew` with the closed form."""
+    n, m = p.n, p.m
+    D = np.zeros((n * m, n * m), dtype=complex)
+    for k, Uk in enumerate(p.local_unitaries):
+        rows = slice(k * m, (k + 1) * m)
+        D[rows, rows] = (Uk * p.lambdas[rows]) @ Uk.conj().T
+    U = np.eye(n * m, dtype=complex)
+    for j, Zs in enumerate(p.blockvecs, start=2):
+        if np.any(Zs):
+            U = expm_skew(build_Xj_block(Zs, n, j, m), tol) @ U
+    rho = U @ D @ U.conj().T
+    return DensityMatrix(n, m, (rho + rho.conj().T) / 2.0, tol)
 
 
 def _hankel_inputs(rng, m):

@@ -25,6 +25,7 @@ from dmparam import (
     haar_unitary,
     normalize_blocks,
 )
+from dmparam import blocks
 from dmparam._random import (
     rand_block_params,
     rand_complex,
@@ -32,6 +33,7 @@ from dmparam._random import (
     rand_unitary,
 )
 from dmparam.linalg import UNITARY_TOL
+from dmparam.validate import _exp_chain, run_validation
 
 EYE2 = np.eye(2, dtype=complex)
 
@@ -181,20 +183,21 @@ class TestBuildVjnm:
 
 class TestBuildAjnm:
     def test_zero_gives_identity_both_methods(self):
+        # both: the closed form and the exponential of the generator
         Zs = [np.zeros((2, 2))]
-        for method in ("closed", "exp"):
-            assert_allclose(build_Ajnm(Zs, 3, 2, 2, method), np.eye(6))
+        assert_allclose(build_Ajnm(Zs, 3, 2, 2), np.eye(6))
+        assert_allclose(expm_skew(build_Xj_block(Zs, 3, 2, 2)), np.eye(6))
 
     def test_no_padding_when_j_equals_n(self):
         rng = np.random.default_rng(10)
         Zs = [rand_complex(rng, (2, 2))]
-        A = build_Ajnm(Zs, 2, 2, 2, "closed")
+        A = build_Ajnm(Zs, 2, 2, 2)
         assert_allclose(A, build_Vjnm(Zs, 2, 2))
 
     def test_embedding_pads_identity(self):
         rng = np.random.default_rng(11)
         Zs = [rand_complex(rng, (2, 2))]
-        A = build_Ajnm(Zs, 3, 2, 2, "closed")
+        A = build_Ajnm(Zs, 3, 2, 2)
         assert_allclose(A[4:, 4:], np.eye(2))
         assert np.linalg.norm(A[4:, :4]) == 0.0
 
@@ -202,16 +205,16 @@ class TestBuildAjnm:
         rng = np.random.default_rng(12)
         for _ in range(25):
             Zs = [rand_complex(rng, (2, 2)) for _ in range(2)]
-            closed = build_Ajnm(Zs, 4, 3, 2, "closed")
-            exact = build_Ajnm(Zs, 4, 3, 2, "exp")
+            closed = build_Ajnm(Zs, 4, 3, 2)
+            exact = expm_skew(build_Xj_block(Zs, 4, 3, 2))
             assert np.max(np.abs(closed - exact)) <= 1e-9
 
     def test_singular_angle_closed_only(self):
         # the name is historical: closed no longer raises at a singular angle
         Zs = [np.diag([1.0, 0.0]).astype(complex)]
-        A = build_Ajnm(Zs, 2, 2, 2, "exp")
+        A = expm_skew(build_Xj_block(Zs, 2, 2, 2))
         assert np.linalg.norm(A.conj().T @ A - np.eye(4)) <= 1e-10
-        assert np.max(np.abs(build_Ajnm(Zs, 2, 2, 2, "closed") - A)) <= 1e-12
+        assert np.max(np.abs(build_Ajnm(Zs, 2, 2, 2) - A)) <= 1e-12
 
 
 class TestBuildCore:
@@ -265,8 +268,8 @@ class TestAssembleBlock:
         rng = np.random.default_rng(14)
         for _ in range(10):
             p = rand_block_params(rng, 3, 2)
-            closed = assemble_rho_block(p, method="closed")
-            exact = assemble_rho_block(p, method="exp")
+            closed = assemble_rho_block(p)
+            exact = _exp_chain(p)
             assert np.max(np.abs(closed.mat - exact.mat)) <= 1e-9
 
     def test_m1_reduction(self):
@@ -299,3 +302,19 @@ def test_core_type_validates_trace():
 
     with pytest.raises(BadNormalizationError):
         BlockDiagonalCore((np.diag([0.4, 0.4]), np.diag([0.4, 0.4])))
+
+
+def test_block_chain_invariant_sees_a_wrong_side_core(monkeypatch):
+    # the reference builds its core apart from blocks._core, so conjugating
+    # on the wrong side there moves the closed form off the paper's definition
+    def wrong_side(lambdas, unitaries):
+        n, m = len(unitaries), len(unitaries[0])
+        D = np.zeros((n * m, n * m), dtype=complex)
+        for k, U in enumerate(unitaries):
+            rows = slice(k * m, (k + 1) * m)
+            D[rows, rows] = (U.conj().T * lambdas[rows]) @ U
+        return D
+
+    monkeypatch.setattr(blocks, "_core", wrong_side)
+    results = {r.name: r for r in run_validation(seed=3, trials=5)}
+    assert not results["block chain"].ok

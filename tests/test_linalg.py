@@ -17,7 +17,6 @@ from dmparam import (
     kron,
     matfun_psd,
     polar,
-    psd_check,
 )
 from dmparam._random import rand_complex, rand_hermitian, rand_psd, rand_skew
 from dmparam.linalg import RECON_TOL, UNITARY_TOL
@@ -170,25 +169,6 @@ class TestPolar:
         P, U = polar(Z)
         assert np.linalg.norm(P @ U - Z) <= 1e-10
         assert np.linalg.norm(U.conj().T @ U - np.eye(4)) <= 1e-12  # completed on kernel
-
-
-class TestPsdCheck:
-    def test_identity(self):
-        ok, mn = psd_check(np.eye(3))
-        assert ok and mn == pytest.approx(1.0)
-
-    def test_indefinite(self):
-        ok, mn = psd_check(np.diag([1.0, -0.2]))
-        assert not ok
-        assert mn == pytest.approx(-0.2)
-
-    def test_partially_transposed_isotropic(self):
-        # analytic PT spectrum of the isotropic family: smallest branch (1-3p)/4
-        from dmparam import isotropic, partial_transpose
-
-        ok, mn = psd_check(partial_transpose(isotropic(0.5)))
-        assert not ok
-        assert mn == pytest.approx(-0.125, abs=1e-12)
 
 
 class TestHaar:

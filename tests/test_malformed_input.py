@@ -56,6 +56,17 @@ CASES = {
                               "field 'lambdas': entry 0 has imaginary part 0.5"),
     "nan-single-lambdas": (_doc("single", {"lambdas": [1.0, float("nan")], "zvecs": [[0.3]]}),
                            "SingleParams: non-finite eigenvalue nan"),
+    "single-no-lambdas": (_doc("single", {"lambdas": [], "zvecs": []}),
+                          "SingleParams: n must be >= 1, got 0"),
+    "single-missing-zvec": (_doc("single", {"lambdas": [0.6, 0.4], "zvecs": []}),
+                            "SingleParams: expected 1 z-vectors, got 0"),
+    "single-long-zvec": (
+        _doc("single", {"lambdas": [0.6, 0.4], "zvecs": [[[0.3, 0.1], [0.2, 0.0]]]}),
+        "SingleParams: z-vector for j=2 must have length 1, got 2"),
+    "single-nan-zvec": (_doc("single", {"lambdas": [0.6, 0.4], "zvecs": [[float("nan")]]}),
+                        "SingleParams: z-vector for j=2 has non-finite entries"),
+    "block-zero-n": (_block(n=0), "BlockParams: dims must be positive, got n=0, m=2"),
+    "block-missing-blockvec": (_block(), "BlockParams: expected 1 block vectors, got 0"),
     "overflowing-single-lambdas": (
         _doc("single", {"lambdas": [1e308, 1e308], "zvecs": [[0.3]]}),
         "SingleParams: eigenvalues sum to inf, not 1"),

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from dmparam import (
     build_Ajnm,
+    build_Xj_block,
     circulant_ppt_margins,
     circulant_rho,
     expm_skew,
@@ -77,8 +78,9 @@ def _level_blocks(rng, kind, k, m):
     kind=st.sampled_from(["generic", "common_kernel", "rank_one", "tiny", "zero"]),
 )
 def test_auto_closed_form_matches_exp(seed, m, k, kind):
-    # the closed form is the default method at every angle, singular ones included
+    # the name is historical: the closed form serves every angle, singular
+    # ones included
     Zs = _level_blocks(np.random.default_rng(seed), kind, k, m)
-    closed = build_Ajnm(Zs, k + 2, k + 1, m, "closed")
-    exact = build_Ajnm(Zs, k + 2, k + 1, m, "exp")
+    closed = build_Ajnm(Zs, k + 2, k + 1, m)
+    exact = expm_skew(build_Xj_block(Zs, k + 2, k + 1, m))
     assert np.max(np.abs(closed - exact)) <= 1e-12

@@ -21,6 +21,7 @@ from dmparam import (
     expm_skew,
 )
 from dmparam._random import rand_block_params, rand_complex, rand_single_params
+from dmparam.validate import _exp_chain
 
 
 @pytest.mark.parametrize("j,m", [(16, 4), (32, 2)])
@@ -76,10 +77,10 @@ def test_block_closed_form_equals_blockwise_fill(j, m):
 
 @pytest.mark.parametrize("n,m", [(16, 4), (32, 2)])
 def test_block_auto_matches_exp(n, m):
-    # the default method is the closed form
+    # the name is historical: the closed form is the only path
     p = rand_block_params(np.random.default_rng(50 + n), n, m)
     closed = assemble_rho_block(p)
-    exact = assemble_rho_block(p, method="exp")
+    exact = _exp_chain(p)
     assert np.max(np.abs(closed.mat - exact.mat)) <= 1e-9
 
 
@@ -130,8 +131,7 @@ def test_params_arrays_are_not_written():
     block_before = [[Z.copy() for Z in Zs] for Zs in pb.blockvecs]
     lambdas_before = (ps.lambdas.copy(), pb.lambdas.copy())
     assemble_rho_single(ps)
-    for method in ("closed", "exp"):
-        assemble_rho_block(pb, method=method)
+    assemble_rho_block(pb)
     for z, z0 in zip(ps.zvecs, single_before):
         assert not z.flags.writeable and np.array_equal(z, z0)
     for Zs, Zs0 in zip(pb.blockvecs, block_before):
@@ -155,12 +155,12 @@ def _common_kernel_params(seed, n=8, m=4):
 
 @pytest.mark.parametrize("seed", range(50))
 def test_auto_takes_exp_on_near_singular_angle(seed):
-    # the name is historical: the default closed form is taken here as
-    # everywhere; exp is the oracle.
+    # the name is historical: the closed form is taken here as everywhere;
+    # the exponential chain is the oracle.
     # assemble_rho_block raises if the state fails the DensityMatrix gate
     p = _common_kernel_params(seed)
     closed = assemble_rho_block(p)
-    exact = assemble_rho_block(p, method="exp")
+    exact = _exp_chain(p)
     assert np.max(np.abs(closed.mat - exact.mat)) <= 1e-12
 
 
@@ -188,22 +188,17 @@ def _per_level_Vj(T):
     return Vj
 
 
-def _per_level_rho(p, method):
-    """``assemble_rho_block(p, method=method).mat`` one level at a time, each
-    level's SVD padded to the top level's ``n - 1`` blocks as the batch pads
-    it."""
+def _per_level_rho(p):
+    """``assemble_rho_block(p).mat`` one level at a time, each level's SVD
+    padded to the top level's ``n - 1`` blocks as the batch pads it."""
     n, m = p.n, p.m
     D = np.zeros((n * m, n * m), dtype=complex)
     for k, U in enumerate(p.local_unitaries):
         L = (U * p.lambdas[k * m : (k + 1) * m]) @ U.conj().T
         D[k * m : (k + 1) * m, k * m : (k + 1) * m] = (L + L.conj().T) / 2.0
     U = np.eye(n * m, dtype=complex)
-    for j, T in enumerate(p.blockvecs, start=2):
-        if not np.any(T):
-            continue
-        if method == "exp":
-            U = expm_skew(build_Xj_block(T, n, j, m)) @ U
-        else:
+    for T in p.blockvecs:
+        if np.any(T):
             _per_level_update(U, T, n - 1)
     rho = U @ D @ U.conj().T
     return (rho + rho.conj().T) / 2.0
@@ -224,6 +219,7 @@ def _chain_params(n, m, seed, singular_top=False, zero_level=None):
     [
         (1, 2, False, None),
         (2, 3, False, None),
+        (3, 3, False, None),
         (6, 1, False, None),
         (8, 4, True, 4),
         (8, 8, False, None),
@@ -233,13 +229,7 @@ def _chain_params(n, m, seed, singular_top=False, zero_level=None):
 )
 def test_batched_levels_equal_per_level_chain_bitwise(n, m, singular_top, zero_level):
     p = _chain_params(n, m, 80 + n + m, singular_top, zero_level)
-    assert np.array_equal(assemble_rho_block(p).mat, _per_level_rho(p, "closed"))
-
-
-@pytest.mark.parametrize("method", ["closed", "exp"])
-def test_each_method_equals_per_level_chain_bitwise(method):
-    p = _chain_params(3, 3, 90)
-    assert np.array_equal(assemble_rho_block(p, method=method).mat, _per_level_rho(p, method))
+    assert np.array_equal(assemble_rho_block(p).mat, _per_level_rho(p))
 
 
 @pytest.mark.parametrize("j,m", [(2, 1), (2, 3), (7, 1), (5, 3), (16, 4)])
@@ -254,15 +244,12 @@ def test_single_level_layers_equal_per_level_form_bitwise(j, m):
 
 @pytest.mark.parametrize("scale", [1e12, 1e14])
 @pytest.mark.parametrize(
-    "n,m,singular_top,method",
-    [
-        (4, 2, False, "closed"),
-        (4, 2, True, "closed"),
-        (8, 4, False, "closed"),
-        (8, 4, True, "closed"),
-    ],
+    "n,m,singular_top",
+    # the ids keep the name of the path they exercise, the closed form
+    [pytest.param(n, m, s, id=f"{n}-{m}-{s}-closed")
+     for n, m in ((4, 2), (8, 4)) for s in (False, True)],
 )
-def test_extreme_scales_pass_the_state_gate(n, m, singular_top, method, scale):
+def test_extreme_scales_pass_the_state_gate(n, m, singular_top, scale):
     # V_j from orthonormal SVD factors stays unitary at any scale; built from
     # the Gram matrix's eigenvalues, whose small ones are off by about
     # eps ||G||, it is not, and the gate refuses the state
@@ -272,5 +259,5 @@ def test_extreme_scales_pass_the_state_gate(n, m, singular_top, method, scale):
         p = rand_block_params(np.random.default_rng(110 + n), n, m)
     vecs = tuple(scale * T for T in p.blockvecs)
     q = BlockParams(n, m, p.lambdas, p.local_unitaries, vecs)
-    rho = assemble_rho_block(q, method=method)
+    rho = assemble_rho_block(q)
     assert np.max(np.abs(np.linalg.eigvalsh(rho.mat) - np.sort(q.lambdas))) <= 1e-9

@@ -15,7 +15,9 @@ from dmparam import (
     build_Ajnm,
     build_core,
     build_Vjnm,
+    build_Xj_block,
     class3_state,
+    expm_skew,
     hankel_state,
     isotropic,
     matfun_psd,
@@ -34,7 +36,7 @@ from dmparam.io import write_matrix
 def calls(monkeypatch):
     """Count the calls of each wrapped function; the arguments of ``eigh``
     and ``svd`` are kept too."""
-    counts = {"unitary": 0, "as_blocks": 0, "eigvalsh": 0, "expm": 0, "eigh": [], "svd": []}
+    counts = {"unitary": 0, "as_blocks": 0, "eigvalsh": 0, "eigh": [], "svd": []}
 
     def wrap(owner, name, key):
         original = getattr(owner, name)
@@ -53,7 +55,6 @@ def calls(monkeypatch):
     wrap(np.linalg, "eigvalsh", "eigvalsh")
     wrap(np.linalg, "eigh", "eigh")
     wrap(np.linalg, "svd", "svd")
-    wrap(blocks, "expm_skew", "expm")
     return counts
 
 
@@ -134,16 +135,14 @@ def _rounding_bound(p):
 @pytest.mark.parametrize("n,m", [(3, 2), (8, 4)])
 def test_assembly_runs_only_the_state_gate(n, m, calls):
     p = _params(n, m, seed=n + m)
-    for method in ("exp", "closed"):
-        calls["eigvalsh"] = calls["unitary"] = calls["as_blocks"] = 0
-        calls["eigh"].clear()
-        calls["svd"].clear()
-        assemble_rho_block(p, method=method)
-        assert calls["unitary"] == 0
-        assert calls["as_blocks"] == 0
-        assert calls["eigvalsh"] == 1
-    # closed, run last: one SVD for all levels, on their stack padded to the
-    # top level's height
+    calls["eigvalsh"] = calls["unitary"] = calls["as_blocks"] = 0
+    calls["eigh"].clear()
+    calls["svd"].clear()
+    assemble_rho_block(p)
+    assert calls["unitary"] == 0
+    assert calls["as_blocks"] == 0
+    assert calls["eigvalsh"] == 1
+    # one SVD for all levels, on their stack padded to the top level's height
     assert not calls["eigh"]
     assert len(calls["svd"]) == 1
     assert calls["svd"][0].shape == (n - 1, (n - 1) * m, m)
@@ -159,19 +158,18 @@ def test_assembly_takes_one_closed_form_at_every_angle(n, m, calls):
     calls["eigh"].clear()
     calls["svd"].clear()
     assemble_rho_block(p)
-    assert calls["expm"] == 0
-    assert not calls["eigh"]
+    assert not calls["eigh"]  # no exponential either: expm_skew is one eigh
     assert len(calls["svd"]) == 1
     assert calls["svd"][0].shape == (n - 1, (n - 1) * m, m)
 
 
-@pytest.mark.parametrize("method", ["closed", "exp"])
-@pytest.mark.parametrize("singular", [False, True])
-def test_build_Ajnm_stacks_its_blocks_once(method, singular, calls):
+# the ids keep the name of the path they exercise, the closed form
+@pytest.mark.parametrize("singular", [False, True], ids=["False-closed", "True-closed"])
+def test_build_Ajnm_stacks_its_blocks_once(singular, calls):
     Zs = [rand_complex(np.random.default_rng(3), (3, 3)) for _ in range(2)]
     if singular:
         Zs = _singular(Zs)
-    A = build_Ajnm(Zs, 4, 3, 3, method)
+    A = build_Ajnm(Zs, 4, 3, 3)
     assert np.linalg.norm(A.conj().T @ A - np.eye(12)) <= 1e-10
     assert calls["as_blocks"] == 1
 
@@ -247,7 +245,7 @@ def test_singular_top_level_has_no_closed_Vjnm():
     # the name is historical: V_j is unique at a singular angle, and the
     # closed form returns it
     p = _params(8, 4, seed=84, singular_top=True, zero_level=4)
-    exact = build_Ajnm(p.blockvecs[-1], 8, 8, 4, "exp")
+    exact = expm_skew(build_Xj_block(p.blockvecs[-1], 8, 8, 4))
     assert np.max(np.abs(build_Vjnm(p.blockvecs[-1], 8, 4) - exact)) <= 1e-12
     assert not np.any(p.blockvecs[2])
 
