@@ -8,7 +8,6 @@ analytic separability conditions and block-structure detection.
 """
 
 from .blocks import (
-    BlockDiagonalCore,
     BlockParams,
     assemble_rho_block,
     block_angle,
@@ -26,24 +25,7 @@ from .entanglement import (
     partial_transpose,
     ppt_check,
 )
-from .errors import (
-    AngleOutOfRangeError,
-    BadNormalizationError,
-    ConditionViolatedError,
-    ConvergenceFailureError,
-    DimensionMismatchError,
-    DmParamError,
-    InvalidSimplexError,
-    MissingFactorizationError,
-    NotHermitianError,
-    NotPsdError,
-    NotSkewHermitianError,
-    NotSquareError,
-    NotUnitaryError,
-    OutOfRangeError,
-    SingularAngleError,
-    UnsupportedShapeError,
-)
+from .errors import ConvergenceFailureError, DmParamError, NotPsdError, SingularAngleError
 from .families import (
     SIGMA_X,
     FamilySpec,
@@ -61,17 +43,7 @@ from .families import (
     toeplitz_state,
     two_by_m,
 )
-from .linalg import (
-    DEFAULT_TOL,
-    Spectrum,
-    Tolerances,
-    expm_skew,
-    haar_unitary,
-    herm_eig,
-    kron,
-    matfun_psd,
-    polar,
-)
+from .linalg import DEFAULT_TOL, Tolerances, expm_skew, haar_unitary, herm_eig, matfun_psd, polar
 from .single import (
     SingleParams,
     assemble_rho_single,
@@ -83,3 +55,18 @@ from .states import DensityMatrix
 from .validate import run_validation
 
 __version__ = "0.1.0"
+
+__all__ = [
+    "BlockParams", "assemble_rho_block", "block_angle", "build_Ajnm", "build_core",
+    "build_Vjnm", "build_Xj_block", "normalize_blocks",
+    "PptReport", "circulant_conditions", "circulant_ppt_margins", "detect_structure",
+    "partial_transpose", "ppt_check",
+    "ConvergenceFailureError", "DmParamError", "NotPsdError", "SingularAngleError",
+    "SIGMA_X", "FamilySpec", "bell_diagonal", "build_family", "circulant_rho", "class3_state",
+    "hankel_state", "isotropic", "isotropic_alpha", "nonabelian_bloch",
+    "nonabelian_sphere_check", "pure_P", "sep_threshold", "toeplitz_state", "two_by_m",
+    "DEFAULT_TOL", "Tolerances", "expm_skew", "haar_unitary", "herm_eig", "matfun_psd", "polar",
+    "SingleParams", "assemble_rho_single", "build_Vjn", "build_Xj_single", "param_count",
+    "DensityMatrix",
+    "run_validation",
+]

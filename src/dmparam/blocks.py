@@ -52,9 +52,9 @@ same kernel with one level.
 
 Inputs are checked once.  :class:`BlockParams` stores each level as a frozen
 ``(j - 1, m, m)`` stack, and :func:`assemble_rho_block` reads it through
-kernels that check nothing (``_core``, ``_angle_data``, ``_chain``,
-``_generator``), which the public layer functions call after checking their
-raw arguments.
+kernels that check nothing (``_core``, ``_core_blocks``, ``_angle_data``,
+``_chain``, ``_generator``), which the public layer functions call after
+checking their raw arguments.
 """
 
 from __future__ import annotations
@@ -64,20 +64,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadNormalizationError,
-    DimensionMismatchError,
-    NotPsdError,
-    OutOfRangeError,
-    SingularAngleError,
-)
-from .linalg import DEFAULT_TOL, TRACE_TOL, Tolerances, _require_unitary
+from .errors import DmParamError, SingularAngleError
+from .linalg import DEFAULT_TOL, Tolerances, _require_unitary
 from .single import _check_simplex
 from .states import DensityMatrix
 
 __all__ = [
     "BlockParams",
-    "BlockDiagonalCore",
     "block_angle",
     "normalize_blocks",
     "build_Xj_block",
@@ -98,34 +91,30 @@ def _as_blocks(Zs, m=None, who="block vector", j=None):
     Returns the blocks stacked into one ``(k, m, m)`` complex array, and ``m``.
     """
     if j is not None and len(Zs) != j - 1:
-        raise DimensionMismatchError(f"{who}: expected {j - 1} blocks, got {len(Zs)}")
+        raise DmParamError(f"{who}: expected {j - 1} blocks, got {len(Zs)}")
     if len(Zs) == 0:
-        raise DimensionMismatchError(f"{who}: needs at least one block")
+        raise DmParamError(f"{who}: needs at least one block")
     out = [np.asarray(Z, dtype=complex) for Z in Zs]
     for k, Z in enumerate(out):
         if Z.ndim != 2 or Z.shape[0] != Z.shape[1]:
-            raise DimensionMismatchError(
-                f"{who}: block {k} is not square (shape {Z.shape})"
-            )
+            raise DmParamError(f"{who}: block {k} is not square (shape {Z.shape})")
         if m is None:
             m = Z.shape[0]
         if Z.shape[0] != m:
-            raise DimensionMismatchError(
-                f"{who}: block {k} has size {Z.shape[0]}, expected {m}"
-            )
+            raise DmParamError(f"{who}: block {k} has size {Z.shape[0]}, expected {m}")
     T = np.stack(out)
     x = T.view(float)
     big = float(np.abs(x).max())  # NaN when any entry is NaN
     if not math.isfinite(big):
         k = int(np.argmin(np.isfinite(T).all(axis=(1, 2))))
-        raise DimensionMismatchError(f"{who}: block {k} has non-finite entries")
+        raise DmParamError(f"{who}: block {k} has non-finite entries")
     # No entry of the Gram matrix G = sum_k Z_k^dag Z_k exceeds its trace,
     # the sum of |z|^2 over all entries, so G and G + G^dag stay finite while
     # the trace is at most _GRAM_MAX.  The trace is summed over entries
     # scaled by the largest, and only when size * largest^2 could exceed it.
     if (big * big * x.size > _GRAM_MAX
             and float(np.sum(np.square(x / big))) > _GRAM_MAX / big / big):
-        raise OutOfRangeError(
+        raise DmParamError(
             f"{who}: its Gram matrix sum_k Z_k^dag Z_k overflows "
             f"(largest entry {big:.3e})"
         )
@@ -223,7 +212,7 @@ def build_Xj_block(Zs, n: int, j: int, m: int) -> np.ndarray:
     ``k < j``; all other blocks vanish.  ``X + X^dag = 0`` holds exactly.
     """
     if not 2 <= j <= n:
-        raise DimensionMismatchError(f"need 2 <= j <= n, got j={j}, n={n}")
+        raise DmParamError(f"need 2 <= j <= n, got j={j}, n={n}")
     T, _ = _as_blocks(Zs, m, "build_Xj_block", j)
     return _generator(T, n)
 
@@ -259,50 +248,9 @@ def build_Ajnm(Zs, n: int, j: int, m: int) -> np.ndarray:
     equals ``expm_skew(build_Xj_block(Z_j, n, j, m))`` to rounding.
     """
     if not 2 <= j <= n:
-        raise DimensionMismatchError(f"need 2 <= j <= n, got j={j}, n={n}")
+        raise DmParamError(f"need 2 <= j <= n, got j={j}, n={n}")
     T, m = _as_blocks(Zs, m, "build_Ajnm", j)
     return _chain(np.eye(n * m, dtype=complex), (T,))
-
-
-@dataclass(frozen=True)
-class BlockDiagonalCore:
-    """The ``n`` PSD blocks ``Lambda_k`` of the conjugation core.
-
-    Traces sum to one; each block is PSD within ``tol_psd``.
-    """
-
-    blocks: tuple
-
-    def __post_init__(self):
-        blocks = []
-        total = 0.0
-        for k, L in enumerate(self.blocks):
-            L = np.array(L, dtype=complex)
-            w = np.linalg.eigvalsh((L + L.conj().T) / 2.0)
-            if w[0] < -DEFAULT_TOL.tol_psd:
-                raise NotPsdError(f"core block {k} has eigenvalue {w[0]:.3e}")
-            total += float(np.trace(L).real)
-            L.flags.writeable = False
-            blocks.append(L)
-        if abs(total - 1.0) > TRACE_TOL:
-            raise BadNormalizationError(f"core traces sum to {total!r}, not 1")
-        object.__setattr__(self, "blocks", tuple(blocks))
-
-    @classmethod
-    def _of(cls, blocks):
-        """A core of read-only blocks, valid by construction and not checked."""
-        core = object.__new__(cls)
-        object.__setattr__(core, "blocks", tuple(blocks))
-        return core
-
-    def matrix(self) -> np.ndarray:
-        """The full block-diagonal matrix."""
-        m = self.blocks[0].shape[0]
-        n = len(self.blocks)
-        D = np.zeros((n * m, n * m), dtype=complex)
-        for k, L in enumerate(self.blocks):
-            D[k * m : (k + 1) * m, k * m : (k + 1) * m] = L
-        return D
 
 
 def _check_core(lambdas, local_unitaries, n, m, who):
@@ -311,40 +259,46 @@ def _check_core(lambdas, local_unitaries, n, m, who):
     lambdas = _check_simplex(lambdas, n * m, False, who)
     lambdas.flags.writeable = False
     if len(local_unitaries) != n:
-        raise DimensionMismatchError(
-            f"{who}: expected {n} local unitaries, got {len(local_unitaries)}"
-        )
+        raise DmParamError(f"{who}: expected {n} local unitaries, got {len(local_unitaries)}")
     unitaries = []
     for k, U in enumerate(local_unitaries, start=1):
         U = np.array(_require_unitary(U, f"{who}: U_{k}"))
         if U.shape[0] != m:
-            raise DimensionMismatchError(f"{who}: U_{k} has size {U.shape[0]}, expected {m}")
+            raise DmParamError(f"{who}: U_{k} has size {U.shape[0]}, expected {m}")
         U.flags.writeable = False
         unitaries.append(U)
     return lambdas, tuple(unitaries)
 
 
-def build_core(lambdas, local_unitaries, n: int, m: int):
-    """Core blocks ``Lambda_k = U_k diag(slice_k) U_k^dag``.
+def build_core(lambdas, local_unitaries, n: int, m: int) -> np.ndarray:
+    """Core blocks ``Lambda_k = U_k diag(slice_k) U_k^dag`` as a read-only
+    ``(n, m, m)`` stack.
 
     ``slice_k`` is the k-th consecutive run of ``m`` eigenvalues.  For
-    ``m = 1`` each block is the bare scalar ``lambdas[k]``.  Unitaries are
-    checked within ``UNITARY_TOL``.
+    ``m = 1`` each block is the ``1 x 1`` matrix ``lambdas[k]``.  The
+    eigenvalues are checked as a simplex point (traces summing to one) and
+    the unitaries within ``UNITARY_TOL``.
     """
-    D = _core(*_check_core(lambdas, local_unitaries, n, m, "build_core"))
-    D.flags.writeable = False
-    return BlockDiagonalCore._of(D[k * m : (k + 1) * m, k * m : (k + 1) * m] for k in range(n))
+    L = _core_blocks(*_check_core(lambdas, local_unitaries, n, m, "build_core"))
+    L.flags.writeable = False
+    return L
+
+
+def _core_blocks(lambdas, unitaries):
+    """The blocks ``Lambda_k`` of validated inputs as one ``(n, m, m)`` stack."""
+    U = np.array(unitaries)
+    n, m = U.shape[:2]
+    L = (U * lambdas.reshape(n, 1, m)) @ U.conj().swapaxes(-1, -2)
+    return (L + L.conj().swapaxes(-1, -2)) / 2.0
 
 
 def _core(lambdas, unitaries):
-    """The core ``D(Lambda_1 | ... | Lambda_n)`` of validated inputs, its
-    blocks built as one ``(n, m, m)`` stack."""
-    n, m = len(unitaries), len(unitaries[0])
-    U = np.array(unitaries)
-    L = (U * lambdas.reshape(n, 1, m)) @ U.conj().swapaxes(-1, -2)
+    """The block-diagonal core ``D(Lambda_1 | ... | Lambda_n)`` of validated inputs."""
+    L = _core_blocks(lambdas, unitaries)
+    n, m = L.shape[:2]
     D = np.zeros((n * m, n * m), dtype=complex)
     k = np.arange(n)
-    D.reshape(n, m, n, m)[k, :, k] = (L + L.conj().swapaxes(-1, -2)) / 2.0
+    D.reshape(n, m, n, m)[k, :, k] = L
     return D
 
 
@@ -369,14 +323,12 @@ class BlockParams:
 
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
-            raise DimensionMismatchError(
-                f"BlockParams: dims must be positive, got n={self.n}, m={self.m}"
-            )
+            raise DmParamError(f"BlockParams: dims must be positive, got n={self.n}, m={self.m}")
         lambdas, unitaries = _check_core(
             self.lambdas, self.local_unitaries, self.n, self.m, "BlockParams"
         )
         if len(self.blockvecs) != self.n - 1:
-            raise DimensionMismatchError(
+            raise DmParamError(
                 f"BlockParams: expected {self.n - 1} block vectors, got {len(self.blockvecs)}"
             )
         vecs = []

@@ -29,26 +29,12 @@ import itertools
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .blocks import BlockParams, assemble_rho_block
-from .entanglement import (
-    BOUNDARY_BAND,
-    PptReport,
-    detect_structure,
-    ppt_check,
-    pt_spectrum,
-)
-from .errors import (
-    ConvergenceFailureError,
-    DimensionMismatchError,
-    DmParamError,
-    NotPsdError,
-    OutOfRangeError,
-    SingularAngleError,
-)
+from .entanglement import BOUNDARY_BAND, detect_structure, ppt_check, pt_spectrum
+from .errors import ConvergenceFailureError, DmParamError, NotPsdError, SingularAngleError
 from .families import FAMILIES, build_family
 from .io import ParamFileError, fmt_float, load_param_file, read_matrix, write_matrix
 from .linalg import DEFAULT_TOL, TRACE_TOL, Tolerances
@@ -56,40 +42,13 @@ from .single import SingleParams, assemble_rho_single
 from .states import DensityMatrix, check_states
 from .validate import EXAMPLES, run_validation, serialize_counterexample
 
-__all__ = ["main", "StateReport"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 EXIT_NOT_A_STATE = 4
 EXIT_MISMATCH = 5
-
-
-@dataclass(frozen=True)
-class StateReport:
-    """Analysis summary printed by ``dmparam analyze``."""
-
-    dims: tuple
-    eigenvalues: np.ndarray
-    purity: float
-    rank: int
-    ppt: PptReport
-    structure: str | None
-
-    def lines(self):
-        n, m = self.dims
-        out = [
-            f"dims          ({n}, {m})",
-            "eigenvalues   " + " ".join(fmt_float(w) for w in self.eigenvalues),
-            f"purity        {fmt_float(self.purity)}",
-            f"rank          {self.rank}",
-            f"ppt           {'true' if self.ppt.is_ppt else 'false'}",
-            f"min_pt_eig    {fmt_float(self.ppt.min_pt_eig)}",
-            f"pt_subsystem  {self.ppt.subsystem}",
-        ]
-        if self.structure is not None:
-            out.append(f"structure     {self.structure}")
-        return out
 
 
 def cmd_generate(args, tol) -> int:
@@ -123,13 +82,13 @@ def cmd_analyze(args, tol) -> int:
         return EXIT_INPUT
 
     if not np.isfinite(mat).all():
-        raise DimensionMismatchError("matrix contains non-finite entries")
+        raise DmParamError("matrix contains non-finite entries")
     # Nothing below exceeds (2 nm max|entry|)^2, the square sum inside ||mat - mat^dag||_F.
     limit = math.sqrt(np.finfo(float).max) / (2 * n * m)
     big = np.argwhere(np.abs(mat) > limit).tolist()
     if big:
         where = ", ".join(f"({i}, {j})" for i, j in big[:3]) + (", ..." if big[3:] else "")
-        raise OutOfRangeError(
+        raise DmParamError(
             f"matrix entries too large to analyze: |entry| > {limit:.3e} at {where}")
 
     herm_dev = float(np.linalg.norm(mat - mat.conj().T))
@@ -146,17 +105,20 @@ def cmd_analyze(args, tol) -> int:
         problems.append(f"negative eigenvalue {eigs[0]:.3e}")
 
     ppt = ppt_check(sym, tol, dims=(n, m))
-    structure = None
-    purity = float(np.sum(eigs**2))
-    rank = int(np.count_nonzero(eigs > tol.tol_psd))
+    report = [
+        f"dims          ({n}, {m})",
+        "eigenvalues   " + " ".join(fmt_float(w) for w in eigs),
+        f"purity        {fmt_float(np.sum(eigs**2))}",
+        f"rank          {np.count_nonzero(eigs > tol.tol_psd)}",
+        f"ppt           {'true' if ppt.is_ppt else 'false'}",
+        f"min_pt_eig    {fmt_float(ppt.min_pt_eig)}",
+        f"pt_subsystem  {ppt.subsystem}",
+    ]
     if not problems and n == 2:
         structure = detect_structure(DensityMatrix._of(n, m, sym, eigs))
-    report = StateReport(
-        dims=(n, m), eigenvalues=eigs, purity=purity, rank=rank, ppt=ppt,
-        structure=structure,
-    )
+        report.append(f"structure     {structure}")
     print("state report")
-    for line in report.lines():
+    for line in report:
         print("  " + line)
     if problems:
         print("not a state:")
@@ -440,7 +402,7 @@ def main(argv=None) -> int:
     except (NotPsdError, SingularAngleError, ConvergenceFailureError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ParamFileError, DmParamError, ValueError) as exc:
+    except ValueError as exc:  # DmParamError and ParamFileError among them
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -17,11 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AngleOutOfRangeError,
-    MissingFactorizationError,
-    UnsupportedShapeError,
-)
+from .errors import DmParamError
 from .linalg import DEFAULT_TOL, Tolerances
 from .single import _check_simplex
 from .states import DensityMatrix
@@ -48,14 +44,10 @@ def _unpack(rho, dims):
         return rho.mat, rho.n, rho.m
     mat = np.asarray(rho, dtype=complex)
     if dims is None:
-        raise MissingFactorizationError(
-            "plain matrices need explicit dims=(n, m) for a partial transpose"
-        )
+        raise DmParamError("plain matrices need explicit dims=(n, m) for a partial transpose")
     n, m = dims
     if mat.shape[-2:] != (n * m, n * m) or min(n, m) < 1:
-        raise MissingFactorizationError(
-            f"matrix of shape {mat.shape} does not match dims {dims}"
-        )
+        raise DmParamError(f"matrix of shape {mat.shape} does not match dims {dims}")
     return mat, n, m
 
 
@@ -128,9 +120,7 @@ def _angle_ok(x):
 def _check_angles(alpha, beta):
     for name, value in (("alpha", alpha), ("beta", beta)):
         if not _angle_ok(value):
-            raise AngleOutOfRangeError(
-                f"{name} = {value!r} outside [0, pi/2]"
-            )
+            raise DmParamError(f"{name} = {value!r} outside [0, pi/2]")
 
 
 def circulant_ppt_margins(p, alpha: float, beta: float):
@@ -196,11 +186,9 @@ def detect_structure(rho: DensityMatrix) -> str:
     Block comparisons use the relative Frobenius tolerance ``STRUCTURE_TOL``.
     """
     if not isinstance(rho, DensityMatrix):
-        raise MissingFactorizationError("detect_structure needs a DensityMatrix")
+        raise DmParamError("detect_structure needs a DensityMatrix")
     if rho.n != 2:
-        raise UnsupportedShapeError(
-            f"structure detection is defined for n = 2, got n = {rho.n}"
-        )
+        raise DmParamError(f"structure detection is defined for n = 2, got n = {rho.n}")
     m = rho.m
     mat = rho.mat
     B11 = mat[:m, :m]

@@ -27,13 +27,7 @@ import numpy as np
 
 from .blocks import _angle_data, _as_blocks
 from .entanglement import _angle_ok, _check_angles, _circulant_margins
-from .errors import (
-    BadNormalizationError,
-    ConditionViolatedError,
-    DimensionMismatchError,
-    DmParamError,
-    OutOfRangeError,
-)
+from .errors import DmParamError
 from .linalg import DEFAULT_TOL, TRACE_TOL, Tolerances, _require_psd, _require_unitary
 from .single import _check_simplex, _on_simplex
 from .states import DensityMatrix
@@ -100,7 +94,7 @@ def isotropic(p: float, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
     The partial-transpose spectrum is ``{(1 + p)/4 (x3), (1 - 3p)/4}``.
     """
     if not _isotropic_in_range(p):
-        raise OutOfRangeError(f"isotropic: p = {p!r} outside [-1/3, 1]")
+        raise DmParamError(f"isotropic: p = {p!r} outside [-1/3, 1]")
     return DensityMatrix(2, 2, _isotropic_mats(p), tol)
 
 
@@ -218,10 +212,10 @@ def two_by_m(U, L1, L2, Xi2, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
     L2, _ = _require_psd(L2, tol, "two_by_m: L2")
     Xi2, (C, S) = _require_psd(Xi2, tol, "two_by_m: Xi2", ("cos", "sin"))
     if not L1.shape == L2.shape == Xi2.shape == (m, m):
-        raise DimensionMismatchError("two_by_m: all inputs must be m x m")
+        raise DmParamError("two_by_m: all inputs must be m x m")
     tr = float((np.trace(L1) + np.trace(L2)).real)
     if abs(tr - 1.0) > TRACE_TOL:
-        raise BadNormalizationError(f"two_by_m: Tr(L1 + L2) = {tr!r}, not 1")
+        raise DmParamError(f"two_by_m: Tr(L1 + L2) = {tr!r}, not 1")
     B11, B12, B21, B22 = _two_by_m_blocks(U, L1, L2, C, S)
     rho = np.block([[B11, B12], [B21, B22]])
     rho = (rho + rho.conj().T) / 2.0
@@ -230,7 +224,10 @@ def two_by_m(U, L1, L2, Xi2, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
 
 def _check_condition(name, residual):
     if residual > _COND_TOL:
-        raise ConditionViolatedError(name, residual, _COND_TOL)
+        raise DmParamError(
+            f"condition {name!r} violated: residual {float(residual):.3e} "
+            f"exceeds tolerance {_COND_TOL:.1e}"
+        )
 
 
 def toeplitz_state(L, U, Xi2, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
@@ -251,7 +248,7 @@ def toeplitz_state(L, U, Xi2, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
     Xi2, (C, S) = _require_psd(Xi2, tol, "toeplitz_state: Xi2", ("cos", "sin"))
     m = L.shape[0]
     if not U.shape == Xi2.shape == (m, m):
-        raise DimensionMismatchError("toeplitz_state: all inputs must be m x m")
+        raise DmParamError("toeplitz_state: all inputs must be m x m")
     _check_condition("[L, U] = 0", np.linalg.norm(L @ U - U @ L))
     _check_condition("Tr(2L) = 1", abs(2.0 * float(np.trace(L).real) - 1.0))
     A = C @ L @ C + S @ L @ S
@@ -283,7 +280,7 @@ def hankel_state(U, L1, L2, Xi2, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix
     Xi2, (C, S) = _require_psd(Xi2, tol, "hankel_state: Xi2", ("cos", "sin"))
     m = U.shape[0]
     if not L1.shape == L2.shape == Xi2.shape == (m, m):
-        raise DimensionMismatchError("hankel_state: all inputs must be m x m")
+        raise DmParamError("hankel_state: all inputs must be m x m")
     L1r = U.conj().T @ L1 @ U
     _check_condition("[U^dag L1 U, Xi2] = 0", np.linalg.norm(L1r @ Xi2 - Xi2 @ L1r))
     _check_condition("[L2, Xi2] = 0", np.linalg.norm(L2 @ Xi2 - Xi2 @ L2))
@@ -310,7 +307,7 @@ def class3_state(n: int, m: int, Zs, tol: Tolerances = DEFAULT_TOL) -> DensityMa
     parts additionally satisfy ``sum_k P_k^2 = I`` (the nonabelian sphere).
     """
     if n < 2:
-        raise DimensionMismatchError(f"class3_state: need n >= 2, got {n}")
+        raise DmParamError(f"class3_state: need n >= 2, got {n}")
     T, m = _as_blocks(Zs, m, "class3_state", n)
     sigma, _, _, N = _angle_data((T,))
     if sigma[0, 0]:
@@ -337,7 +334,7 @@ def nonabelian_bloch(U, Xi2, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
     Xi2, (C, S) = _require_psd(Xi2, tol, "nonabelian_bloch: Xi2", ("cos", "sin"))
     m = U.shape[0]
     if Xi2.shape != (m, m):
-        raise DimensionMismatchError("nonabelian_bloch: U and Xi2 must match")
+        raise DmParamError("nonabelian_bloch: U and Xi2 must match")
     Ud = U.conj().T
     rho = np.block([[U @ S @ S @ Ud, U @ S @ C], [C @ S @ Ud, C @ C]]) / m
     rho = (rho + rho.conj().T) / 2.0
@@ -348,13 +345,11 @@ def nonabelian_sphere_check(Ps) -> bool:
     """True iff ``P_1^2 + ... + P_k^2 = I`` within 1e-10."""
     Ps = [np.asarray(P, dtype=complex) for P in Ps]
     if not Ps:
-        raise DimensionMismatchError("nonabelian_sphere_check: empty list")
+        raise DmParamError("nonabelian_sphere_check: empty list")
     m = Ps[0].shape[0]
     for P in Ps:
         if P.shape != (m, m):
-            raise DimensionMismatchError(
-                "nonabelian_sphere_check: blocks must share one square shape"
-            )
+            raise DmParamError("nonabelian_sphere_check: blocks must share one square shape")
     total = sum(P @ P for P in Ps)
     return bool(np.linalg.norm(total - np.eye(m)) <= _COND_TOL)
 
@@ -442,14 +437,10 @@ class FamilySpec:
 
     def __post_init__(self):
         if self.kind not in FAMILIES:
-            raise DimensionMismatchError(
-                f"unknown family kind {self.kind!r}; known: {sorted(FAMILIES)}"
-            )
+            raise DmParamError(f"unknown family kind {self.kind!r}; known: {sorted(FAMILIES)}")
         missing = [k for k in FAMILIES[self.kind].params if k not in self.params]
         if missing:
-            raise DimensionMismatchError(
-                f"family {self.kind!r} is missing parameters {missing}"
-            )
+            raise DmParamError(f"family {self.kind!r} is missing parameters {missing}")
 
 
 def build_family(spec: FamilySpec, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:

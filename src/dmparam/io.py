@@ -129,11 +129,6 @@ _FAMILY_FIELDS = {
 }
 
 
-def matrix_to_nested(mat) -> list:
-    """Row-major nested ``[re, im]`` pairs of Python floats."""
-    return [[[z.real, z.imag] for z in row] for row in np.asarray(mat, dtype=complex).tolist()]
-
-
 def _get(payload, key, kind):
     if key not in payload:
         raise ParamFileError(f"kind {kind!r}: missing field {key!r}")

@@ -17,15 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConvergenceFailureError,
-    DimensionMismatchError,
-    NotHermitianError,
-    NotPsdError,
-    NotSkewHermitianError,
-    NotSquareError,
-    NotUnitaryError,
-)
+from .errors import ConvergenceFailureError, DmParamError, NotPsdError
 
 __all__ = [
     "Tolerances",
@@ -33,13 +25,11 @@ __all__ = [
     "TRACE_TOL",
     "UNITARY_TOL",
     "RECON_TOL",
-    "Spectrum",
     "herm_eig",
     "expm_skew",
     "matfun_psd",
     "polar",
     "haar_unitary",
-    "kron",
 ]
 
 
@@ -76,25 +66,12 @@ UNITARY_TOL = 1e-10
 RECON_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigendecomposition of a Hermitian matrix.
-
-    ``eigenvalues`` are real and ascending; ``eigenvectors`` holds the
-    corresponding orthonormal eigenvectors as columns, so that
-    ``V @ diag(w) @ V.conj().T`` reconstructs the input.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 def _as_square(M, who):
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise NotSquareError(f"{who}: expected a square matrix, got shape {M.shape}")
+        raise DmParamError(f"{who}: expected a square matrix, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
-        raise DimensionMismatchError(f"{who}: matrix contains non-finite entries")
+        raise DmParamError(f"{who}: matrix contains non-finite entries")
     return M
 
 
@@ -102,9 +79,7 @@ def _require_hermitian(M, tol, who):
     M = _as_square(M, who)
     dev = np.linalg.norm(M - M.conj().T)
     if dev > tol.tol_herm * max(np.linalg.norm(M), 1.0):
-        raise NotHermitianError(
-            f"{who}: Hermiticity deviation {dev:.3e} exceeds tolerance"
-        )
+        raise DmParamError(f"{who}: Hermiticity deviation {dev:.3e} exceeds tolerance")
     return M
 
 
@@ -112,7 +87,7 @@ def _require_unitary(U, who):
     U = _as_square(U, who)
     dev = np.linalg.norm(U.conj().T @ U - np.eye(U.shape[0]))
     if dev > UNITARY_TOL:
-        raise NotUnitaryError(f"{who}: unitarity deviation {dev:.3e} exceeds tolerance")
+        raise DmParamError(f"{who}: unitarity deviation {dev:.3e} exceeds tolerance")
     return U
 
 
@@ -129,8 +104,8 @@ def _require_psd(M, tol, who, kinds=()):
     return M, [(F + F.conj().T) / 2.0 for F in funs]
 
 
-def herm_eig(M, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
-    """Eigendecompose a Hermitian matrix.
+def herm_eig(M, tol: Tolerances = DEFAULT_TOL):
+    """Eigendecompose a Hermitian matrix, checking the reconstruction.
 
     Parameters
     ----------
@@ -140,12 +115,18 @@ def herm_eig(M, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
 
     Returns
     -------
-    Spectrum
-        Ascending real eigenvalues and unitary eigenvector matrix.
+    (w, V) : tuple of numpy.ndarray
+        Ascending real eigenvalues and the orthonormal eigenvectors as
+        columns, as ``np.linalg.eigh`` returns them: ``(V * w) @ V^dag``
+        reconstructs ``M``.
 
     Raises
     ------
-    NotSquareError, NotHermitianError, ConvergenceFailureError
+    DmParamError
+        ``M`` is not square, not finite or not Hermitian.
+    ConvergenceFailureError
+        The eigensolver fails or the reconstruction residual exceeds
+        ``RECON_TOL * max(||M||, 1)``.
     """
     M = _require_hermitian(M, tol, "herm_eig")
     try:
@@ -157,7 +138,7 @@ def herm_eig(M, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
         raise ConvergenceFailureError(
             f"herm_eig: reconstruction residual {residual:.3e} exceeds tolerance"
         )
-    return Spectrum(eigenvalues=w, eigenvectors=V)
+    return w, V
 
 
 def expm_skew(X, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -168,14 +149,13 @@ def expm_skew(X, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
     Raises
     ------
-    NotSquareError, NotSkewHermitianError
+    DmParamError
+        ``X`` is not square, not finite or not skew-Hermitian.
     """
     X = _as_square(X, "expm_skew")
     dev = np.linalg.norm(X + X.conj().T)
     if dev > tol.tol_herm * max(np.linalg.norm(X), 1.0):
-        raise NotSkewHermitianError(
-            f"expm_skew: skew-Hermiticity deviation {dev:.3e} exceeds tolerance"
-        )
+        raise DmParamError(f"expm_skew: skew-Hermiticity deviation {dev:.3e} exceeds tolerance")
     w, V = np.linalg.eigh(1j * X)
     return (V * np.exp(-1j * w)) @ V.conj().T
 
@@ -232,7 +212,7 @@ def haar_unitary(m: int, seed: int) -> np.ndarray:
     of R phase-fixed, which makes the distribution exactly Haar.
     """
     if m < 1:
-        raise DimensionMismatchError(f"haar_unitary: m must be >= 1, got {m}")
+        raise DmParamError(f"haar_unitary: m must be >= 1, got {m}")
     rng = np.random.default_rng(seed)
     Z = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / np.sqrt(2.0)
     return _haar_qr(Z)
@@ -245,9 +225,3 @@ def _haar_qr(Z):
     d[d == 0] = 1.0  # measure-zero guard
     return Q * (d / np.abs(d))
 
-
-def kron(A, B) -> np.ndarray:
-    """Kronecker product; block (i, j) of the result equals ``A[i, j] * B``."""
-    A = np.asarray(A, dtype=complex)
-    B = np.asarray(B, dtype=complex)
-    return np.kron(A, B)

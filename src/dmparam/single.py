@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidSimplexError
+from .errors import DmParamError
 from .linalg import DEFAULT_TOL, Tolerances
 from .states import DensityMatrix
 
@@ -60,19 +60,19 @@ _SIMPLEX_TOL = 1e-12
 def _check_simplex(lambdas, size, descending, who):
     lambdas = np.array(lambdas, dtype=float).reshape(-1)
     if lambdas.shape[0] != size:
-        raise InvalidSimplexError(f"{who}: expected {size} eigenvalues, got {lambdas.shape[0]}")
+        raise DmParamError(f"{who}: expected {size} eigenvalues, got {lambdas.shape[0]}")
     finite = np.isfinite(lambdas)
     if not finite.all():  # every comparison below is False for NaN
         bad = float(lambdas[np.argmin(finite)])
-        raise InvalidSimplexError(f"{who}: non-finite eigenvalue {bad!r}")
+        raise DmParamError(f"{who}: non-finite eigenvalue {bad!r}")
     if np.any(lambdas < -_SIMPLEX_TOL):
-        raise InvalidSimplexError(f"{who}: negative eigenvalue {lambdas.min():.3e}")
+        raise DmParamError(f"{who}: negative eigenvalue {lambdas.min():.3e}")
     with np.errstate(over="ignore"):  # an overflowing sum is reported below
         total = float(np.sum(lambdas))
     if abs(total - 1.0) > _SIMPLEX_TOL:
-        raise InvalidSimplexError(f"{who}: eigenvalues sum to {total!r}, not 1")
+        raise DmParamError(f"{who}: eigenvalues sum to {total!r}, not 1")
     if descending and np.any(np.diff(lambdas) > _SIMPLEX_TOL):
-        raise InvalidSimplexError(f"{who}: eigenvalues must be sorted descending")
+        raise DmParamError(f"{who}: eigenvalues must be sorted descending")
     return lambdas
 
 
@@ -109,24 +109,22 @@ class SingleParams:
 
     def __post_init__(self):
         if self.n < 1:
-            raise DimensionMismatchError(f"SingleParams: n must be >= 1, got {self.n}")
+            raise DmParamError(f"SingleParams: n must be >= 1, got {self.n}")
         lambdas = _check_simplex(self.lambdas, self.n, True, "SingleParams")
         lambdas.flags.writeable = False
         zvecs = []
         if len(self.zvecs) != self.n - 1:
-            raise DimensionMismatchError(
+            raise DmParamError(
                 f"SingleParams: expected {self.n - 1} z-vectors, got {len(self.zvecs)}"
             )
         for j, z in enumerate(self.zvecs, start=2):
             z = np.array(z, dtype=complex).reshape(-1)
             if z.shape[0] != j - 1:
-                raise DimensionMismatchError(
+                raise DmParamError(
                     f"SingleParams: z-vector for j={j} must have length {j - 1}, got {z.shape[0]}"
                 )
             if not np.all(np.isfinite(z)):
-                raise DimensionMismatchError(
-                    f"SingleParams: z-vector for j={j} has non-finite entries"
-                )
+                raise DmParamError(f"SingleParams: z-vector for j={j} has non-finite entries")
             z.flags.writeable = False
             zvecs.append(z)
         object.__setattr__(self, "lambdas", lambdas)
@@ -140,9 +138,9 @@ def build_Xj_single(z, n: int, j: int) -> np.ndarray:
     """
     z = np.asarray(z, dtype=complex).reshape(-1)
     if not 2 <= j <= n:
-        raise DimensionMismatchError(f"need 2 <= j <= n, got j={j}, n={n}")
+        raise DmParamError(f"need 2 <= j <= n, got j={j}, n={n}")
     if z.shape[0] != j - 1:
-        raise DimensionMismatchError(f"z must have length {j - 1}, got {z.shape[0]}")
+        raise DmParamError(f"z must have length {j - 1}, got {z.shape[0]}")
     X = np.zeros((n, n), dtype=complex)
     X[: j - 1, j - 1] = z
     X[j - 1, : j - 1] = -z.conj()
@@ -166,9 +164,7 @@ def build_Vjn(z, j: int) -> np.ndarray:
     """
     z = np.asarray(z, dtype=complex).reshape(-1)
     if j < 2 or z.shape[0] != j - 1:
-        raise DimensionMismatchError(
-            f"build_Vjn: z must have length j-1 = {j - 1}, got {z.shape[0]}"
-        )
+        raise DmParamError(f"build_Vjn: z must have length j-1 = {j - 1}, got {z.shape[0]}")
     V = np.eye(j, dtype=complex)
     rotation = _rotation(z)
     if rotation is None:
@@ -206,5 +202,5 @@ def assemble_rho_single(p: SingleParams, tol: Tolerances = DEFAULT_TOL) -> Densi
 def param_count(n: int) -> int:
     """Number of independent real parameters of an n-level state: ``n^2 - 1``."""
     if n < 1:
-        raise DimensionMismatchError(f"n must be >= 1, got {n}")
+        raise DmParamError(f"n must be >= 1, got {n}")
     return n * n - 1

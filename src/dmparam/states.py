@@ -10,12 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    BadNormalizationError,
-    DimensionMismatchError,
-    NotHermitianError,
-    NotPsdError,
-)
+from .errors import DmParamError, NotPsdError
 from .linalg import DEFAULT_TOL, TRACE_TOL, Tolerances
 
 __all__ = ["DensityMatrix", "check_states"]
@@ -62,13 +57,11 @@ def check_states(mats, tol: Tolerances = DEFAULT_TOL):
         return w, None
     i = np.unravel_index(np.argmax(failed), failed.shape)
     if not finite[i]:
-        error = DimensionMismatchError("matrix contains non-finite entries")
+        error = DmParamError("matrix contains non-finite entries")
     elif not_herm[i]:
-        error = NotHermitianError(
-            f"state Hermiticity deviation {herm_dev[i]:.3e} exceeds tolerance"
-        )
+        error = DmParamError(f"state Hermiticity deviation {herm_dev[i]:.3e} exceeds tolerance")
     elif trace_dev[i] > TRACE_TOL:
-        error = BadNormalizationError(f"state trace deviates from 1 by {trace_dev[i]:.3e}")
+        error = DmParamError(f"state trace deviates from 1 by {trace_dev[i]:.3e}")
     else:
         error = NotPsdError(
             f"state has eigenvalue {w[i][0]:.3e} below -tol_psd = {-tol.tol_psd:.1e}"
@@ -101,11 +94,11 @@ class DensityMatrix:
         n = int(n)
         m = int(m)
         if n < 1 or m < 1:
-            raise DimensionMismatchError(f"dims must be positive, got n={n}, m={m}")
+            raise DmParamError(f"dims must be positive, got n={n}, m={m}")
         mat = np.array(mat, dtype=complex)
         d = n * m
         if mat.shape != (d, d):
-            raise DimensionMismatchError(
+            raise DmParamError(
                 f"expected a {d}x{d} matrix for n={n}, m={m}, got shape {mat.shape}"
             )
         w, failure = check_states(mat, tol)

@@ -6,11 +6,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from dmparam import (
-    BlockDiagonalCore,
     BlockParams,
-    DimensionMismatchError,
-    InvalidSimplexError,
-    NotUnitaryError,
+    DmParamError,
     SingularAngleError,
     assemble_rho_block,
     assemble_rho_single,
@@ -46,35 +43,35 @@ class TestBlockParams:
         assert len(p.blockvecs[1]) == 2
 
     def test_rejects_bad_simplex(self):
-        with pytest.raises(InvalidSimplexError):
+        with pytest.raises(DmParamError, match="^BlockParams: eigenvalues sum to 2.0, not 1$"):
             BlockParams(2, 2, [0.5, 0.5, 0.5, 0.5], (EYE2, EYE2), ((np.zeros((2, 2)),),))
 
     def test_rejects_non_unitary(self):
-        with pytest.raises(NotUnitaryError):
+        with pytest.raises(DmParamError, match="^BlockParams: U_2: unitarity deviation"):
             BlockParams(
                 2, 2, [0.25] * 4, (EYE2, 2 * EYE2), ((np.zeros((2, 2)),),)
             )
 
     def test_rejects_wrong_block_count(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DmParamError, match="^BlockParams: expected 2 block vectors, got 1$"):
             BlockParams(3, 2, [1 / 6.0] * 6, (EYE2,) * 3, ((np.zeros((2, 2)),),))
 
 
-# (local unitaries of a 2 (x) 2 core, error type, message after the caller's name)
+# (local unitaries of a 2 (x) 2 core, message after the caller's name)
 CORE_FAULTS = {
-    "count": ((EYE2,), DimensionMismatchError, "expected 2 local unitaries, got 1"),
-    "size": ((np.eye(3),) * 2, DimensionMismatchError, "U_1 has size 3, expected 2"),
-    "deviation": ((EYE2, np.diag([np.sqrt(1.0 + 2 * UNITARY_TOL), 1.0])), NotUnitaryError,
+    "count": ((EYE2,), "expected 2 local unitaries, got 1"),
+    "size": ((np.eye(3),) * 2, "U_1 has size 3, expected 2"),
+    "deviation": ((EYE2, np.diag([np.sqrt(1.0 + 2 * UNITARY_TOL), 1.0])),
                   "U_2: unitarity deviation"),
 }
 
 
 @pytest.mark.parametrize("case", list(CORE_FAULTS))
 def test_block_params_and_build_core_check_the_core_alike(case):
-    unitaries, error, message = CORE_FAULTS[case]
-    with pytest.raises(error, match="^" + re.escape(f"BlockParams: {message}")):
+    unitaries, message = CORE_FAULTS[case]
+    with pytest.raises(DmParamError, match="^" + re.escape(f"BlockParams: {message}")):
         BlockParams(2, 2, [0.25] * 4, unitaries, ((np.zeros((2, 2)),),))
-    with pytest.raises(error, match="^" + re.escape(f"build_core: {message}")):
+    with pytest.raises(DmParamError, match="^" + re.escape(f"build_core: {message}")):
         build_core([0.25] * 4, unitaries, 2, 2)
 
 
@@ -221,13 +218,14 @@ class TestBuildCore:
     def test_identity_unitaries(self):
         lambdas = [0.1, 0.2, 0.3, 0.4]
         core = build_core(lambdas, (EYE2, EYE2), 2, 2)
-        assert_allclose(core.blocks[0], np.diag([0.1, 0.2]))
-        assert_allclose(core.blocks[1], np.diag([0.3, 0.4]))
+        assert core.shape == (2, 2, 2) and not core.flags.writeable
+        assert_allclose(core[0], np.diag([0.1, 0.2]))
+        assert_allclose(core[1], np.diag([0.3, 0.4]))
 
     def test_m1_scalars(self):
         ones = tuple(np.array([[1.0]], dtype=complex) for _ in range(3))
         core = build_core([0.5, 0.3, 0.2], ones, 3, 1)
-        assert_allclose([b[0, 0] for b in core.blocks], [0.5, 0.3, 0.2])
+        assert_allclose(core[:, 0, 0], [0.5, 0.3, 0.2])
 
     def test_isotropic_core(self):
         # slices ((1-p)/4, (1-p)/4) and ((1-p)/4, (1+3p)/4); diagonal U_2 is
@@ -236,11 +234,11 @@ class TestBuildCore:
         lam = np.array([1 - p, 1 - p, 1 - p, 1 + 3 * p]) / 4.0
         U2 = np.diag(np.exp(1j * np.array([0.3, 1.1])))
         core = build_core(lam, (EYE2, U2), 2, 2)
-        assert_allclose(core.blocks[0], np.diag([1 - p, 1 - p]) / 4.0, atol=1e-15)
-        assert_allclose(core.blocks[1], np.diag([1 - p, 1 + 3 * p]) / 4.0, atol=1e-15)
+        assert_allclose(core[0], np.diag([1 - p, 1 - p]) / 4.0, atol=1e-15)
+        assert_allclose(core[1], np.diag([1 - p, 1 + 3 * p]) / 4.0, atol=1e-15)
 
     def test_trace_validation(self):
-        with pytest.raises(InvalidSimplexError):
+        with pytest.raises(DmParamError, match="^build_core: eigenvalues sum to 1.2, not 1$"):
             build_core([0.3, 0.3, 0.3, 0.3], (EYE2, EYE2), 2, 2)
 
 
@@ -253,8 +251,8 @@ class TestAssembleBlock:
         rho = assemble_rho_block(p)
         core = build_core(lam, (U1, U2), 2, 2)
         assert np.linalg.norm(rho.mat[:2, 2:]) <= 1e-15
-        assert_allclose(rho.mat[:2, :2], core.blocks[0], atol=1e-14)
-        assert_allclose(rho.mat[2:, 2:], core.blocks[1], atol=1e-14)
+        assert_allclose(rho.mat[:2, :2], core[0], atol=1e-14)
+        assert_allclose(rho.mat[2:, 2:], core[1], atol=1e-14)
 
     @pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 2), (3, 3)])
     def test_spectrum_preserved(self, n, m):
@@ -295,13 +293,6 @@ class TestAssembleBlock:
         assert np.linalg.norm(rho.mat - rho.mat.conj().T) <= 1e-12
         assert rho.eigenvalues[0] >= -1e-10
         assert abs(np.trace(rho.mat) - 1.0) <= 1e-10
-
-
-def test_core_type_validates_trace():
-    from dmparam import BadNormalizationError
-
-    with pytest.raises(BadNormalizationError):
-        BlockDiagonalCore((np.diag([0.4, 0.4]), np.diag([0.4, 0.4])))
 
 
 def test_block_chain_invariant_sees_a_wrong_side_core(monkeypatch):

@@ -14,7 +14,6 @@ from dmparam.validate import EXAMPLES
 from dmparam.io import (
     ParamFileError,
     load_param_file,
-    matrix_to_nested,
     read_matrix,
     write_matrix,
 )
@@ -147,10 +146,6 @@ class TestMatrixIo:
         back, n, m = read_matrix(path)
         assert n is None and m is None
         assert np.array_equal(back, mat)
-
-    def test_nested_pairs(self):
-        nested = matrix_to_nested(np.array([[1 + 2j]]))
-        assert nested == [[[1.0, 2.0]]]
 
 
 class TestCliGenerate:

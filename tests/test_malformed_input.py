@@ -120,6 +120,65 @@ CASES = {
 }
 
 
+_I2 = [[1, 0], [0, 1]]
+_Q2 = [[0.25, 0], [0, 0.25]]
+
+
+def _two_by_m(**fields):
+    payload = {"family": "two_by_m", "U": _I2, "L1": _Q2, "L2": _Q2, "Xi2": _I2}
+    payload.update(fields)
+    return _doc("family", payload)
+
+
+# (parameter document, exit code, the whole of stderr): one raise site of each
+# kind of input error the CLI can reach, and a negative eigenvalue (exit 3)
+PINNED = {
+    "isotropic-p-above-range": (
+        _doc("family", {"family": "isotropic", "p": 2}), 2,
+        "input error: family 'isotropic': isotropic: p = 2.0 outside [-1/3, 1]\n"),
+    "block-lambdas-sum-above-1": (
+        _block(lambdas=[0.4, 0.3, 0.2, 0.2], blockvecs=[[[[0.1, 0], [0, 0.2]]]]), 2,
+        "input error: BlockParams: eigenvalues sum to 1.0999999999999999, not 1\n"),
+    "toeplitz-noncommuting": (
+        _doc("family", {"family": "toeplitz", "L": [[0.3, 0.1], [0.1, 0.2]],
+                        "U": [[0, 1], [1, 0]], "Xi2": [[0.3, 0], [0, 0.5]]}), 2,
+        "input error: family 'toeplitz': condition '[L, U] = 0' violated: "
+        "residual 1.414e-01 exceeds tolerance 1.0e-10\n"),
+    "circulant-alpha-above-range": (
+        _doc("family", {"family": "circulant", "p": [0.4, 0.3, 0.2, 0.1],
+                        "alpha": 3, "beta": 0.2}), 2,
+        "input error: family 'circulant': alpha = 3.0 outside [0, pi/2]\n"),
+    "block-nonunitary": (
+        _block(local_unitaries=[[[1, 0], [0, 2]], _I2], blockvecs=[[[[0.1, 0], [0, 0.2]]]]), 2,
+        "input error: BlockParams: U_1: unitarity deviation 3.000e+00 exceeds tolerance\n"),
+    "two_by_m-nonhermitian": (
+        _two_by_m(L1=[[0.25, 0.1], [0, 0.25]]), 2,
+        "input error: family 'two_by_m': two_by_m: L1: Hermiticity deviation 1.414e-01 "
+        "exceeds tolerance\n"),
+    "two_by_m-trace-above-1": (
+        _two_by_m(L1=[[0.3, 0], [0, 0.3]]), 2,
+        "input error: family 'two_by_m': two_by_m: Tr(L1 + L2) = 1.1, not 1\n"),
+    "two_by_m-nonsquare": (
+        _two_by_m(U=[[1, 0, 0], [0, 1, 0]]), 2,
+        "input error: family 'two_by_m': two_by_m: U: expected a square matrix, "
+        "got shape (2, 3)\n"),
+    "two_by_m-negative-L1": (
+        _two_by_m(L1=[[0.6, 0], [0, -0.1]]), 3,
+        "numerical failure: family 'two_by_m': two_by_m: L1: eigenvalue -1.000e-01 "
+        "below -tol_psd\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_exit_code_and_whole_stderr(case, tmp_path, capsys):
+    doc, code, err = PINNED[case]
+    src, out = tmp_path / "params.json", tmp_path / "out"
+    src.write_text(json.dumps(doc))
+    assert main(["generate", str(src), "-o", str(out)]) == code
+    assert capsys.readouterr() == ("", err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_exits_2_and_names_field(case, tmp_path, capsys):
     doc, field = CASES[case]

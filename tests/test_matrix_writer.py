@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmparam.io import matrix_to_nested, read_matrix, write_matrix
+from dmparam.io import read_matrix, write_matrix
 
 REALS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
     [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e300, -1e-300, float("nan"),
@@ -68,8 +68,3 @@ def test_finite_matrices_round_trip_exactly(mat, fmt, path):
     assert back.tobytes() == mat.tobytes()
     assert (n, m) == (mat.shape if fmt == "json" else (None, None))
 
-
-def test_nested_pairs_are_python_floats():
-    nested = matrix_to_nested(np.array([[complex(1, -0.0), complex(np.nan, 2)]]))
-    assert json.dumps(nested) == "[[[1.0, -0.0], [NaN, 2.0]]]"
-    assert all(type(v) is float for pair in nested[0] for v in pair)

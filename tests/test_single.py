@@ -4,8 +4,7 @@ from numpy.testing import assert_allclose
 
 from dmparam import (
     BlockParams,
-    DimensionMismatchError,
-    InvalidSimplexError,
+    DmParamError,
     SingleParams,
     assemble_rho_single,
     bell_diagonal,
@@ -26,23 +25,25 @@ class TestSingleParams:
         assert p.n == 3
 
     def test_rejects_bad_sum(self):
-        with pytest.raises(InvalidSimplexError):
+        with pytest.raises(DmParamError, match="^SingleParams: eigenvalues sum to 0.9, not 1$"):
             SingleParams(2, [0.5, 0.4], (np.zeros(1),))
 
     def test_rejects_negative(self):
-        with pytest.raises(InvalidSimplexError):
+        with pytest.raises(DmParamError, match="^SingleParams: negative eigenvalue -1.000e-01$"):
             SingleParams(2, [1.1, -0.1], (np.zeros(1),))
 
     def test_rejects_ascending(self):
-        with pytest.raises(InvalidSimplexError):
+        with pytest.raises(DmParamError, match="^SingleParams: eigenvalues must be sorted desc"):
             SingleParams(2, [0.3, 0.7], (np.zeros(1),))
 
     def test_rejects_wrong_zvec_shape(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(
+            DmParamError, match="^SingleParams: z-vector for j=3 must have length 2, got 3$"
+        ):
             SingleParams(3, [0.5, 0.3, 0.2], (np.zeros(1), np.zeros(3)))
 
     def test_rejects_wrong_zvec_count(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DmParamError, match="^SingleParams: expected 2 z-vectors, got 1$"):
             SingleParams(3, [0.5, 0.3, 0.2], (np.zeros(1),))
 
 
@@ -66,7 +67,7 @@ SIMPLEX_CALLERS = {
 @pytest.mark.parametrize("point", sorted(NON_FINITE))
 @pytest.mark.parametrize("who", sorted(SIMPLEX_CALLERS))
 def test_simplex_rejects_non_finite_eigenvalues(who, point):
-    with pytest.raises(InvalidSimplexError, match=f"^{who}: non-finite eigenvalue"):
+    with pytest.raises(DmParamError, match=f"^{who}: non-finite eigenvalue"):
         SIMPLEX_CALLERS[who](NON_FINITE[point])
 
 
@@ -142,7 +143,7 @@ class TestBuildVjn:
             assert np.linalg.norm(V - np.eye(j)) <= 1e-7
 
     def test_rejects_bad_length(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DmParamError, match="^build_Vjn: z must have length j-1 = 1, got 2$"):
             build_Vjn(np.zeros(2), 2)
 
 
@@ -195,5 +196,5 @@ def test_param_count(n, expected):
 
 
 def test_param_count_rejects_zero():
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(DmParamError, match="^n must be >= 1, got 0$"):
         param_count(0)

@@ -13,7 +13,7 @@ import pytest
 
 from dmparam.cli import _SWEEP_CHUNK, _axis_values, main
 from dmparam.entanglement import BOUNDARY_BAND, partial_transpose, ppt_check, pt_spectrum
-from dmparam.errors import DmParamError, OutOfRangeError
+from dmparam.errors import DmParamError
 from dmparam.families import FAMILIES, Family, _isotropic_mats
 from dmparam.io import fmt_float
 from dmparam.linalg import DEFAULT_TOL, Tolerances
@@ -186,7 +186,7 @@ def test_gate_failure_before_range_failure_wins(tmp_path, capsys, monkeypatch):
     # Rows 5 and 6 (p = 1.25, 1.5) are not PSD; rows 7 and 8 fail the range check.
     def build(p, tol):
         if p > 1.6:
-            raise OutOfRangeError(f"p = {p!r} out of range")
+            raise DmParamError(f"p = {p!r} out of range")
         return DensityMatrix(2, 2, _isotropic_mats(p), tol)
 
     family = Family(build, {"p": "real"}, ("p",), lambda p: 0.0 * p,

@@ -94,7 +94,9 @@ def _rebuilt(p):
     """``assemble_rho_block(p)`` from the public layer functions, as a
     product of dense factors."""
     n, m = p.n, p.m
-    D = build_core(p.lambdas, p.local_unitaries, n, m).matrix()
+    D = np.zeros((n * m, n * m), dtype=complex)
+    for k, L in enumerate(build_core(p.lambdas, p.local_unitaries, n, m)):
+        D[k * m : (k + 1) * m, k * m : (k + 1) * m] = L
     U = np.eye(n * m, dtype=complex)
     for j, Zs in enumerate(p.blockvecs, start=2):
         if np.any(Zs):
