@@ -229,7 +229,7 @@ def _sweep_chunk(family, point_at, rows, tol):
                 _sweep_chunk(family, point_at, rows[:first], tol)
             _raise_at(family, point_at, rows[first], tol)
     mats = family.mats(*values)
-    _, failure = check_states(mats, tol)
+    failure = check_states(mats, tol)
     if failure is not None:
         _raise_at(family, point_at, rows[failure[0]], tol)
     return point, pt_spectrum(mats, dims=(2, 2))[:, 0]

@@ -75,7 +75,7 @@ def partial_transpose(rho, subsystem: str = "second", dims=None) -> np.ndarray:
     elif subsystem == "first":
         factors = (2, 1, 0, 3)
     else:
-        raise ValueError(f"subsystem must be 'first' or 'second', got {subsystem!r}")
+        raise DmParamError(f"subsystem must be 'first' or 'second', got {subsystem!r}")
     b = len(batch)
     R = R.transpose(tuple(range(b)) + tuple(b + k for k in factors))
     return np.ascontiguousarray(R).reshape(mat.shape)

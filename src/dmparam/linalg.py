@@ -51,7 +51,7 @@ class Tolerances:
     def __post_init__(self):
         for name, value in vars(self).items():
             if not 0.0 < value < 1e-6:
-                raise ValueError(f"{name} must lie in (0, 1e-6), got {value!r}")
+                raise DmParamError(f"{name} must lie in (0, 1e-6), got {value!r}")
 
 
 DEFAULT_TOL = Tolerances()
@@ -181,7 +181,7 @@ def matfun_psd(P, kind: str, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         ``V diag(f(w)) V^dag``, exactly Hermitian.
     """
     if kind not in _MATFUNS:
-        raise ValueError(f"matfun_psd: unknown function {kind!r}")
+        raise DmParamError(f"matfun_psd: unknown function {kind!r}")
     return _require_psd(P, tol, "matfun_psd", (kind,))[1][0]
 
 

@@ -15,13 +15,27 @@ corner and as the identity elsewhere.  ``V_j`` has the closed form
 
 with ``t = ||z_j||`` and ``zh = z_j / t``; it equals the top-left block of
 ``exp(X_j)`` exactly (the sign and conjugation conventions here are fixed by
-that identity).  ``V_j`` is the identity plus a rank-2 correction, so the
-chain never forms it: with ``w = zh^dag U[:j-1]`` and ``r = U[j-1]`` it
-updates the top ``j`` rows of the running product ``U`` as
+that identity).  ``V_j`` is the identity plus a rank-2 correction,
 
-    U[:j-1] -= zh ((1 - cos t) w - sin t r),    U[j-1] = cos t r - sin t w,
+    V_j = I + y_j K_j y_j^dag,   y_j = [[zh; 0], e_j],   K_j = [[c - 1, s], [-s, c - 1]],
 
-which is O(jn) per level and O(n^3) for the whole chain.
+with ``c = cos t`` and ``s = sin t``, so the chain never forms it.  It
+applies ``_BLOCK`` consecutive levels at a time in compact-WY form: their
+product is ``I + Y T Y^dag``, with ``Y`` the levels' ``y_j`` side by side,
+``K`` the block diagonal of their ``K_j`` and
+
+    T = (I - K L)^{-1} K,
+
+where ``L`` is the strictly block-lower part of ``Y^dag Y``.  ``I - K L`` is
+unit lower triangular, so ``T`` exists at every angle.  A block ending at
+level ``k`` updates the top-left ``k x k`` corner ``P`` of the running
+product, the only part the levels so far have touched, as
+``P += (Y T)(Y^dag P)``: matrix products instead of one pass over ``P`` per
+level, O(n^3) for the whole chain.  A chain of at most ``_BLOCK`` levels, one
+block, costs fewer NumPy calls level by level: with ``w = zh^dag U[:j-1]``
+and ``r = U[j-1]`` each level updates the top ``j`` rows of ``U`` as
+
+    U[:j-1] -= zh ((1 - cos t) w - sin t r),    U[j-1] = cos t r - sin t w.
 
 For ``n = 2`` and ``z_2 = t e^{i phi}`` the assembled state is
 
@@ -55,6 +69,11 @@ __all__ = [
 ]
 
 _SIMPLEX_TOL = 1e-12
+#: Levels per compact-WY block of :func:`assemble_rho_single`.
+_BLOCK = 12
+#: ``_LATER[a, b]``: row ``a`` of a block's ``Y^dag Y`` belongs to a later
+#: level than column ``b`` (two rows and columns per level).
+_LATER = np.greater.outer(np.arange(2 * _BLOCK) // 2, np.arange(2 * _BLOCK) // 2)
 
 
 def _check_simplex(lambdas, size, descending, who):
@@ -181,12 +200,24 @@ def assemble_rho_single(p: SingleParams, tol: Tolerances = DEFAULT_TOL) -> Densi
     """Assemble ``rho = A_n ... A_2 diag(lambdas) A_2^dag ... A_n^dag``.
 
     The spectrum of the result equals ``p.lambdas`` as a multiset (the
-    conjugation is unitary) and the trace is one.  Each ``V_j`` acts on the
-    running product as a rank-2 update of its top ``j`` rows, O(jn) work.
+    conjugation is unitary) and the trace is one.  The ``V_j`` act on the
+    running product ``_BLOCK`` levels at a time, in compact-WY form; a chain
+    of at most ``_BLOCK`` levels takes them one at a time.
     """
     n = p.n
     U = np.eye(n, dtype=complex)
-    for j, z in enumerate(p.zvecs, start=2):
+    if n - 1 <= _BLOCK:
+        _chain_by_level(U, p.zvecs)
+    else:
+        _chain_by_block(U, p.zvecs)
+    rho = (U * p.lambdas) @ U.conj().T
+    return DensityMatrix(n, 1, rho, tol)
+
+
+def _chain_by_level(U, zvecs):
+    """``U <- V_n ... V_2 U`` in place, one rank-2 update of the top ``j``
+    rows per level: fewer NumPy calls than one compact-WY block."""
+    for j, z in enumerate(zvecs, start=2):
         rotation = _rotation(z)
         if rotation is None:
             continue
@@ -195,8 +226,39 @@ def assemble_rho_single(p: SingleParams, tol: Tolerances = DEFAULT_TOL) -> Densi
         r = U[j - 1]
         U[: j - 1] -= np.outer(zh, (1.0 - c) * w - s * r)
         U[j - 1] = c * r - s * w
-    rho = (U * p.lambdas) @ U.conj().T
-    return DensityMatrix(n, 1, rho, tol)
+
+
+def _chain_by_block(U, zvecs):
+    """``U <- V_n ... V_2 U`` in place for ``U = I``, ``_BLOCK`` levels at a
+    time in compact-WY form."""
+    n = U.shape[0]
+    # row j - 2: zh of level j, zero-padded to length n (zero for t = 0)
+    Zh = np.zeros((n - 1, n), dtype=complex)
+    for j, z in enumerate(zvecs, start=2):
+        Zh[j - 2, : j - 1] = z
+    theta = np.linalg.norm(Zh, axis=1)
+    live = theta > 0.0
+    Zh[live] /= theta[live, None]
+    # t = 0 gives K = 0, so a zero level acts as the identity
+    cm1, sin = np.cos(theta) - 1.0, np.sin(theta)
+    for lo in range(0, n - 1, _BLOCK):
+        hi = min(lo + _BLOCK, n - 1)  # levels j = lo + 2 .. hi + 1
+        q, k = hi - lo, hi + 1
+        r = np.arange(q)
+        Y = np.zeros((k, 2 * q), dtype=complex)
+        Y[:, 0::2] = Zh[lo:hi, :k].T
+        Y[lo + 1 + r, 2 * r + 1] = 1.0  # e_j
+        K = np.zeros((q, 2, q, 2))
+        K[r, 0, r, 0] = K[r, 1, r, 1] = cm1[lo:hi]
+        K[r, 0, r, 1] = sin[lo:hi]
+        K[r, 1, r, 0] = -sin[lo:hi]
+        K = K.reshape(2 * q, 2 * q)
+        Yh = Y.conj().T
+        L = (Yh @ Y) * _LATER[: 2 * q, : 2 * q]
+        T = np.linalg.solve(np.eye(2 * q) - K @ L, K)
+        # the levels so far touched only the top-left k x k corner
+        P = U[:k, :k]
+        P += (Y @ T) @ (Yh @ P)
 
 
 def param_count(n: int) -> int:

@@ -2,8 +2,10 @@
 
 A :class:`DensityMatrix` is an ``nm x nm`` Hermitian, positive-semidefinite,
 trace-one matrix together with its declared bipartite split ``(n, m)``.
-Single-system states use ``m = 1``.  Instances are validated on construction
-and immutable afterwards, so they are safe to share between threads.
+Single-system states use ``m = 1``.  Instances are validated on construction;
+the matrix is read-only, and the spectrum is computed on first read and
+cached.  Two threads reading it at once may both compute it, with the same
+result.
 """
 
 from __future__ import annotations
@@ -31,12 +33,16 @@ def check_states(mats, tol: Tolerances = DEFAULT_TOL):
 
     Each matrix must be finite, Hermitian within ``tol.tol_herm`` relative
     to its Frobenius norm (or 1), of trace one within ``TRACE_TOL`` and PSD
-    within ``tol.tol_psd``; the checks run in that order.  Returns the
-    ascending eigenvalues ``(..., d)`` and ``None`` when every matrix
-    passes, else ``(index, error)`` for the first failing matrix in
-    row-major order: its index into the leading axes and the exception (not
-    raised) for the first check it fails.  A matrix that fails before the
-    PSD check is replaced by zeros for the eigensolver.
+    within ``tol.tol_psd``; the checks run in that order.  Returns ``None``
+    when every matrix passes, else ``(index, error)`` for the first failing
+    matrix in row-major order: its index into the leading axes and the
+    exception (not raised) for the first check it fails.
+
+    Positivity is proved for the whole stack by one Cholesky factorization
+    of ``rho + tol_psd I``, which exists iff every eigenvalue exceeds
+    ``-tol_psd``.  Only when it fails are the eigenvalues computed, to find
+    the failing matrix and report its smallest eigenvalue.  A matrix that
+    fails before the PSD check is replaced by zeros for both.
     """
     finite = np.logical_and.reduce(np.isfinite(mats), axis=(-2, -1))
     if np.count_nonzero(finite) < finite.size:
@@ -51,10 +57,13 @@ def check_states(mats, tol: Tolerances = DEFAULT_TOL):
     failed = ~finite | not_herm | (trace_dev > TRACE_TOL)
     if np.count_nonzero(failed):
         mats = np.where(failed[..., None, None], 0.0, mats)
-    w = np.linalg.eigvalsh(mats)
-    failed |= w[..., 0] < -tol.tol_psd
+    try:
+        np.linalg.cholesky(mats + tol.tol_psd * np.eye(mats.shape[-1]))
+    except np.linalg.LinAlgError:
+        w = np.linalg.eigvalsh(mats)
+        failed |= w[..., 0] < -tol.tol_psd
     if not np.count_nonzero(failed):
-        return w, None
+        return None
     i = np.unravel_index(np.argmax(failed), failed.shape)
     if not finite[i]:
         error = DmParamError("matrix contains non-finite entries")
@@ -66,7 +75,7 @@ def check_states(mats, tol: Tolerances = DEFAULT_TOL):
         error = NotPsdError(
             f"state has eigenvalue {w[i][0]:.3e} below -tol_psd = {-tol.tol_psd:.1e}"
         )
-    return w, (i, error)
+    return i, error
 
 
 class DensityMatrix:
@@ -85,10 +94,10 @@ class DensityMatrix:
     mat : numpy.ndarray
         Read-only matrix data.
     eigenvalues : numpy.ndarray
-        Ascending eigenvalues, cached from the positivity check.
+        Read-only ascending eigenvalues, computed on first read and cached.
     """
 
-    __slots__ = ("n", "m", "mat", "eigenvalues")
+    __slots__ = ("n", "m", "mat", "_eigenvalues")
 
     def __init__(self, n: int, m: int, mat, tol: Tolerances = DEFAULT_TOL):
         n = int(n)
@@ -101,15 +110,14 @@ class DensityMatrix:
             raise DmParamError(
                 f"expected a {d}x{d} matrix for n={n}, m={m}, got shape {mat.shape}"
             )
-        w, failure = check_states(mat, tol)
+        failure = check_states(mat, tol)
         if failure is not None:
             raise failure[1]
         mat.flags.writeable = False
-        w.flags.writeable = False
         self.n = n
         self.m = m
         self.mat = mat
-        self.eigenvalues = w
+        self._eigenvalues = None
 
     @classmethod
     def _of(cls, n, m, mat, eigenvalues):
@@ -119,8 +127,17 @@ class DensityMatrix:
         rho = object.__new__(cls)
         mat.flags.writeable = False
         eigenvalues.flags.writeable = False
-        rho.n, rho.m, rho.mat, rho.eigenvalues = n, m, mat, eigenvalues
+        rho.n, rho.m, rho.mat, rho._eigenvalues = n, m, mat, eigenvalues
         return rho
+
+    @property
+    def eigenvalues(self):
+        """Ascending eigenvalues, ``eigvalsh(mat)`` on first read, then cached."""
+        if self._eigenvalues is None:
+            w = np.linalg.eigvalsh(self.mat)
+            w.flags.writeable = False
+            self._eigenvalues = w
+        return self._eigenvalues
 
     @property
     def dims(self):

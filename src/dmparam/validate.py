@@ -22,6 +22,7 @@ from .entanglement import (
     partial_transpose,
     ppt_check,
 )
+from .errors import DmParamError
 from .families import (
     SIGMA_X,
     bell_diagonal,
@@ -81,9 +82,9 @@ def _check(name, bound, residuals, counterexample=None):
 def run_validation(seed: int, trials: int, tol=DEFAULT_TOL):
     """Run every invariant family; returns a list of :class:`CheckResult`."""
     if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+        raise DmParamError(f"trials must be >= 1, got {trials}")
     if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+        raise DmParamError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     results = []
 
@@ -146,16 +147,20 @@ def run_validation(seed: int, trials: int, tol=DEFAULT_TOL):
         res.append(float(np.max(np.abs(U - haar_unitary(m, s)))))
     results.append(_check("haar_unitary", 1e-12, res))
 
-    # Single-system chain: closed form vs exponential, spectrum preservation.
+    # Single-system chain: closed form vs exponential, the assembled state vs
+    # the product of exponentials, spectrum preservation.
     res = []
     for _ in range(trials):
         n = int(rng.integers(2, 7))
         p = rnd.rand_single_params(rng, n)
+        U = np.eye(n, dtype=complex)
         for j in range(2, n + 1):
             V = build_Vjn(p.zvecs[j - 2], j)
             E = expm_skew(build_Xj_single(p.zvecs[j - 2], n, j), tol)
             res.append(np.linalg.norm(V - E[:j, :j]))
+            U = E @ U
         rho = assemble_rho_single(p, tol)
+        res.append(float(np.max(np.abs(rho.mat - (U * p.lambdas) @ U.conj().T))))
         res.append(_spectrum_gap(rho, p.lambdas))
     results.append(_check("single chain", 1e-10, res))
 

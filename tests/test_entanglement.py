@@ -74,7 +74,9 @@ class TestPartialTranspose:
             partial_transpose(np.eye(4))
 
     def test_rejects_unknown_subsystem(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(
+            DmParamError, match="^subsystem must be 'first' or 'second', got 'third'$"
+        ):
             partial_transpose(np.eye(4), "third", dims=(2, 2))
 
 

@@ -9,8 +9,8 @@ from numpy.testing import assert_allclose
 import dmparam.validate
 from dmparam import BlockParams, FamilySpec, SingleParams, isotropic
 from dmparam.cli import main
-from dmparam.errors import NotPsdError
-from dmparam.validate import EXAMPLES
+from dmparam.errors import DmParamError, NotPsdError
+from dmparam.validate import EXAMPLES, run_validation
 from dmparam.io import (
     ParamFileError,
     load_param_file,
@@ -432,6 +432,16 @@ class TestCliValidate:
     def test_zero_trials_exits_2(self, capsys):
         assert main(["validate", "--trials", "0"]) == 2
         assert capsys.readouterr().err == "input error: trials must be >= 1, got 0\n"
+
+    def test_negative_seed_exits_2(self, capsys):
+        assert main(["validate", "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "input error: seed must be >= 0, got -1\n"
+
+    def test_run_validation_rejects_its_arguments_as_dmparam_errors(self):
+        with pytest.raises(DmParamError, match="^trials must be >= 1, got 0$"):
+            run_validation(seed=1, trials=0)
+        with pytest.raises(DmParamError, match="^seed must be >= 0, got -1$"):
+            run_validation(seed=-1, trials=1)
 
     def test_failed_check_exits_5_with_counterexample(self, monkeypatch, capsys):
         real = dmparam.validate.circulant_ppt_margins

@@ -26,9 +26,9 @@ def test_tolerances_are_the_two_the_cli_sets():
 
 def test_tolerances_validation():
     Tolerances()  # defaults are legal
-    with pytest.raises(ValueError):
+    with pytest.raises(DmParamError, match=r"^tol_psd must lie in \(0, 1e-6\), got 0\.0$"):
         Tolerances(tol_psd=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(DmParamError, match=r"^tol_herm must lie in \(0, 1e-6\), got 0\.001$"):
         Tolerances(tol_herm=1e-3)
 
 
@@ -134,7 +134,7 @@ class TestMatfunPsd:
             matfun_psd(np.diag([1.0, -0.5]), "sqrt")
 
     def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DmParamError, match="^matfun_psd: unknown function 'tan'$"):
             matfun_psd(np.eye(2), "tan")
 
 

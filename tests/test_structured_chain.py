@@ -21,7 +21,9 @@ from dmparam import (
     expm_skew,
 )
 from dmparam._random import rand_block_params, rand_complex, rand_single_params
-from dmparam.validate import _exp_chain
+from dmparam import validate
+from dmparam.single import _BLOCK
+from dmparam.validate import _exp_chain, run_validation
 
 
 @pytest.mark.parametrize("j,m", [(16, 4), (32, 2)])
@@ -106,6 +108,68 @@ def test_single_chain_with_zero_levels():
     )
     q = SingleParams(100, p.lambdas, zvecs)
     assert np.max(np.abs(assemble_rho_single(q).mat - _dense_single(q))) <= 1e-12
+
+
+def _single_gap(zvecs, seed):
+    n = len(zvecs) + 1
+    lambdas = np.sort(np.random.default_rng(seed).dirichlet(np.ones(n)))[::-1]
+    p = SingleParams(n, lambdas, tuple(zvecs))
+    return np.max(np.abs(assemble_rho_single(p).mat - _dense_single(p)))
+
+
+def _unit_zvecs(rng, n, angle):
+    """Random directions, every one of length ``angle``."""
+    zs = [rand_complex(rng, j - 1) for j in range(2, n + 1)]
+    return [angle * z / np.linalg.norm(z) for z in zs]
+
+
+# no level, one level, one partial block, and the block edges of the chain
+_SIZES = [1, 2, 3, _BLOCK, _BLOCK + 1, _BLOCK + 2, 2 * _BLOCK + 1, 100]
+
+
+@pytest.mark.parametrize("n", _SIZES)
+def test_blocked_single_chain_matches_dense_factors(n):
+    p = rand_single_params(np.random.default_rng(n), n)
+    assert np.max(np.abs(assemble_rho_single(p).mat - _dense_single(p))) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [_BLOCK + 2, 2 * _BLOCK + 1, 100])
+def test_single_chain_with_aligned_zvecs(n):
+    rng = np.random.default_rng(62)
+    v = rand_complex(rng, n - 1)
+    t = rng.uniform(0.2, 3.0, n - 1)
+    # prefixes of one vector, and all along the first axis
+    assert _single_gap([t[j - 2] * v[: j - 1] for j in range(2, n + 1)], n) <= 1e-12
+    assert _single_gap([t[j - 2] * np.eye(j - 1)[0] for j in range(2, n + 1)], n) <= 1e-12
+
+
+@pytest.mark.parametrize("angle", [np.pi, 2 * np.pi - 1e-9, 1e-12])
+@pytest.mark.parametrize("n", [_BLOCK + 2, 100])
+def test_single_chain_at_extreme_angles(n, angle):
+    zvecs = _unit_zvecs(np.random.default_rng(63), n, angle)
+    assert _single_gap(zvecs, n) <= 1e-12
+
+
+def test_single_chain_with_zero_levels_at_block_edges():
+    n = 3 * _BLOCK + 2
+    # the first and last level of every block, as level index j - 2
+    edges = {0, 1, _BLOCK - 1, _BLOCK, 2 * _BLOCK - 1, 2 * _BLOCK, 3 * _BLOCK - 1, 3 * _BLOCK}
+    zvecs = [np.zeros(j - 1) if j - 2 in edges else z
+             for j, z in enumerate(rand_single_params(np.random.default_rng(64), n).zvecs, 2)]
+    assert _single_gap(zvecs, n) <= 1e-12
+    # a whole block of zero levels
+    zvecs[_BLOCK : 2 * _BLOCK] = [np.zeros(j - 1) for j in range(_BLOCK + 2, 2 * _BLOCK + 2)]
+    assert _single_gap(zvecs, n) <= 1e-12
+
+
+def test_single_chain_invariant_checks_the_assembled_state(monkeypatch):
+    # conjugating every z keeps the spectrum and each V_j's closed form, but
+    # not the state: only the product of exponentials tells them apart
+    real = validate.assemble_rho_single
+    monkeypatch.setattr(validate, "assemble_rho_single", lambda p, tol: real(
+        SingleParams(p.n, p.lambdas, tuple(z.conj() for z in p.zvecs)), tol))
+    results = {r.name: r for r in run_validation(seed=3, trials=3)}
+    assert not results["single chain"].ok
 
 
 @pytest.mark.parametrize("theta,phi", [(0.9, 0.7), (-0.4, 2.5), (4.0, -1.2)])

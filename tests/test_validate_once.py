@@ -36,7 +36,7 @@ from dmparam.io import write_matrix
 def calls(monkeypatch):
     """Count the calls of each wrapped function; the arguments of ``eigh``
     and ``svd`` are kept too."""
-    counts = {"unitary": 0, "as_blocks": 0, "eigvalsh": 0, "eigh": [], "svd": []}
+    counts = {"unitary": 0, "as_blocks": 0, "eigvalsh": 0, "cholesky": 0, "eigh": [], "svd": []}
 
     def wrap(owner, name, key):
         original = getattr(owner, name)
@@ -53,6 +53,7 @@ def calls(monkeypatch):
     wrap(blocks, "_require_unitary", "unitary")
     wrap(blocks, "_as_blocks", "as_blocks")
     wrap(np.linalg, "eigvalsh", "eigvalsh")
+    wrap(np.linalg, "cholesky", "cholesky")
     wrap(np.linalg, "eigh", "eigh")
     wrap(np.linalg, "svd", "svd")
     return counts
@@ -137,13 +138,15 @@ def _rounding_bound(p):
 @pytest.mark.parametrize("n,m", [(3, 2), (8, 4)])
 def test_assembly_runs_only_the_state_gate(n, m, calls):
     p = _params(n, m, seed=n + m)
-    calls["eigvalsh"] = calls["unitary"] = calls["as_blocks"] = 0
+    calls["eigvalsh"] = calls["cholesky"] = calls["unitary"] = calls["as_blocks"] = 0
     calls["eigh"].clear()
     calls["svd"].clear()
     assemble_rho_block(p)
     assert calls["unitary"] == 0
     assert calls["as_blocks"] == 0
-    assert calls["eigvalsh"] == 1
+    # the gate proves positivity by one factorization and solves no spectrum
+    assert calls["cholesky"] == 1
+    assert calls["eigvalsh"] == 0
     # one SVD for all levels, on their stack padded to the top level's height
     assert not calls["eigh"]
     assert len(calls["svd"]) == 1
