@@ -31,11 +31,7 @@ unit lower triangular, so ``T`` exists at every angle.  A block ending at
 level ``k`` updates the top-left ``k x k`` corner ``P`` of the running
 product, the only part the levels so far have touched, as
 ``P += (Y T)(Y^dag P)``: matrix products instead of one pass over ``P`` per
-level, O(n^3) for the whole chain.  A chain of at most ``_BLOCK`` levels, one
-block, costs fewer NumPy calls level by level: with ``w = zh^dag U[:j-1]``
-and ``r = U[j-1]`` each level updates the top ``j`` rows of ``U`` as
-
-    U[:j-1] -= zh ((1 - cos t) w - sin t r),    U[j-1] = cos t r - sin t w.
+level, O(n^3) for the whole chain.
 
 For ``n = 2`` and ``z_2 = t e^{i phi}`` the assembled state is
 
@@ -201,37 +197,17 @@ def assemble_rho_single(p: SingleParams, tol: Tolerances = DEFAULT_TOL) -> Densi
 
     The spectrum of the result equals ``p.lambdas`` as a multiset (the
     conjugation is unitary) and the trace is one.  The ``V_j`` act on the
-    running product ``_BLOCK`` levels at a time, in compact-WY form; a chain
-    of at most ``_BLOCK`` levels takes them one at a time.
+    running product ``_BLOCK`` levels at a time, in compact-WY form.
     """
     n = p.n
-    U = np.eye(n, dtype=complex)
-    if n - 1 <= _BLOCK:
-        _chain_by_level(U, p.zvecs)
-    else:
-        _chain_by_block(U, p.zvecs)
+    U = _chain(n, p.zvecs)
     rho = (U * p.lambdas) @ U.conj().T
     return DensityMatrix(n, 1, rho, tol)
 
 
-def _chain_by_level(U, zvecs):
-    """``U <- V_n ... V_2 U`` in place, one rank-2 update of the top ``j``
-    rows per level: fewer NumPy calls than one compact-WY block."""
-    for j, z in enumerate(zvecs, start=2):
-        rotation = _rotation(z)
-        if rotation is None:
-            continue
-        zh, c, s = rotation
-        w = zh.conj() @ U[: j - 1]
-        r = U[j - 1]
-        U[: j - 1] -= np.outer(zh, (1.0 - c) * w - s * r)
-        U[j - 1] = c * r - s * w
-
-
-def _chain_by_block(U, zvecs):
-    """``U <- V_n ... V_2 U`` in place for ``U = I``, ``_BLOCK`` levels at a
-    time in compact-WY form."""
-    n = U.shape[0]
+def _chain(n, zvecs):
+    """``V_n ... V_2``, ``_BLOCK`` levels at a time in compact-WY form."""
+    U = np.eye(n, dtype=complex)
     # row j - 2: zh of level j, zero-padded to length n (zero for t = 0)
     Zh = np.zeros((n - 1, n), dtype=complex)
     for j, z in enumerate(zvecs, start=2):
@@ -259,6 +235,7 @@ def _chain_by_block(U, zvecs):
         # the levels so far touched only the top-left k x k corner
         P = U[:k, :k]
         P += (Y @ T) @ (Yh @ P)
+    return U
 
 
 def param_count(n: int) -> int:

@@ -17,6 +17,11 @@ from .linalg import DEFAULT_TOL, TRACE_TOL, Tolerances
 
 __all__ = ["DensityMatrix", "check_states"]
 
+_EPS = float(np.finfo(float).eps)
+#: The Cholesky verdict is trusted only where ``tol_psd`` is this many times
+#: its rounding error ``d * eps`` (2.2e-11 at ``d = 100``).
+_CHOLESKY_MARGIN = 1000.0
+
 
 def _frobenius(x):
     """Frobenius norm of each matrix of a ``(..., d, d)`` complex stack.
@@ -26,6 +31,15 @@ def _frobenius(x):
     """
     v = x.reshape(x.shape[:-2] + (-1,)).view(float)
     return np.sqrt(np.einsum("...i,...i->...", v, v))
+
+
+def _factors(mats):
+    """Whether ``np.linalg.cholesky`` factors every matrix of the stack."""
+    try:
+        np.linalg.cholesky(mats)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def check_states(mats, tol: Tolerances = DEFAULT_TOL):
@@ -40,9 +54,16 @@ def check_states(mats, tol: Tolerances = DEFAULT_TOL):
 
     Positivity is proved for the whole stack by one Cholesky factorization
     of ``rho + tol_psd I``, which exists iff every eigenvalue exceeds
-    ``-tol_psd``.  Only when it fails are the eigenvalues computed, to find
-    the failing matrix and report its smallest eigenvalue.  A matrix that
-    fails before the PSD check is replaced by zeros for both.
+    ``-tol_psd`` up to the factorization's rounding error, about
+    ``d * eps`` for a trace-one matrix.  Only when it fails are the
+    eigenvalues computed, to find the failing matrix and report its
+    smallest eigenvalue.  The verdict is therefore that of
+    ``eigvalsh(rho)[0] < -tol_psd`` except for a smallest eigenvalue within
+    that rounding error of ``-tol_psd``, where ``eigvalsh``'s own rounding
+    decides as much.  For a ``tol_psd`` below ``_CHOLESKY_MARGIN * d * eps``
+    that band would be more than a thousandth of ``tol_psd``, so there the
+    eigenvalues decide alone.  A matrix that fails before the PSD check is
+    replaced by zeros for both.
     """
     finite = np.logical_and.reduce(np.isfinite(mats), axis=(-2, -1))
     if np.count_nonzero(finite) < finite.size:
@@ -57,9 +78,9 @@ def check_states(mats, tol: Tolerances = DEFAULT_TOL):
     failed = ~finite | not_herm | (trace_dev > TRACE_TOL)
     if np.count_nonzero(failed):
         mats = np.where(failed[..., None, None], 0.0, mats)
-    try:
-        np.linalg.cholesky(mats + tol.tol_psd * np.eye(mats.shape[-1]))
-    except np.linalg.LinAlgError:
+    d = mats.shape[-1]
+    trusted = tol.tol_psd >= _CHOLESKY_MARGIN * d * _EPS
+    if not (trusted and _factors(mats + tol.tol_psd * np.eye(d))):
         w = np.linalg.eigvalsh(mats)
         failed |= w[..., 0] < -tol.tol_psd
     if not np.count_nonzero(failed):

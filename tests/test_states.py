@@ -49,6 +49,32 @@ def test_cholesky_verdict_is_the_eigenvalue_verdict_at_the_boundary(d, tol_psd, 
     assert verdicts == {True, False}
 
 
+@pytest.mark.parametrize("tol_psd", [1e-16, 1e-15, 1e-13])
+def test_a_tol_psd_near_the_rounding_scale_leaves_the_verdict_to_eigvalsh(tol_psd, monkeypatch):
+    # At d = 100 the factorization's rounding error, about d * eps = 2e-14,
+    # is as large as these tolerances: the Cholesky verdict is not asked.
+    tol = Tolerances(tol_psd=tol_psd)
+    rng = np.random.default_rng(15)
+    eigvalsh, calls = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append("cholesky"))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append("eigvalsh") or eigvalsh(a))
+    for lam_min in (-1e-12, -1e-14, -tol_psd, 0.0, 1e-14):
+        rho = _state_with_min_eig(rng, 100, lam_min)
+        smallest = eigvalsh(rho)[0]
+        calls.clear()
+        failure = check_states(rho, tol)
+        assert calls == ["eigvalsh"]
+        assert (failure is not None) == (smallest < -tol_psd)
+        if failure is not None:
+            assert str(failure[1]) == (
+                f"state has eigenvalue {smallest:.3e} below -tol_psd = {-tol_psd:.1e}"
+            )
+    # a 100 x 100 state with lambda_min = -1e-14 fails at tol_psd 1e-16 and 1e-15
+    if tol_psd < 1e-14:
+        with pytest.raises(NotPsdError):
+            DensityMatrix(100, 1, _state_with_min_eig(rng, 100, -1e-14), tol)
+
+
 def test_pure_states_pass_the_gate_without_an_eigensolve(monkeypatch):
     rng = np.random.default_rng(5)
     eigvalsh, solved = np.linalg.eigvalsh, []

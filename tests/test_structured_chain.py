@@ -133,7 +133,7 @@ def test_blocked_single_chain_matches_dense_factors(n):
     assert np.max(np.abs(assemble_rho_single(p).mat - _dense_single(p))) <= 1e-12
 
 
-@pytest.mark.parametrize("n", [_BLOCK + 2, 2 * _BLOCK + 1, 100])
+@pytest.mark.parametrize("n", [2, 3, _BLOCK + 2, 2 * _BLOCK + 1, 100])
 def test_single_chain_with_aligned_zvecs(n):
     rng = np.random.default_rng(62)
     v = rand_complex(rng, n - 1)
@@ -144,7 +144,7 @@ def test_single_chain_with_aligned_zvecs(n):
 
 
 @pytest.mark.parametrize("angle", [np.pi, 2 * np.pi - 1e-9, 1e-12])
-@pytest.mark.parametrize("n", [_BLOCK + 2, 100])
+@pytest.mark.parametrize("n", [2, 3, _BLOCK + 2, 100])
 def test_single_chain_at_extreme_angles(n, angle):
     zvecs = _unit_zvecs(np.random.default_rng(63), n, angle)
     assert _single_gap(zvecs, n) <= 1e-12
