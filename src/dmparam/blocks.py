@@ -34,27 +34,19 @@ orthonormal ``Q`` and unitary ``R`` is unitary to rounding at every scale of
 ``Z``.  Only :func:`normalize_blocks`, which returns ``Zh`` itself, raises
 ``SingularAngleError`` there.
 
-``A_j`` is the identity outside its top ``jm`` rows and columns, and so is
-the running product ``A_{j-1} ... A_2`` outside its top ``(j-1)m``.  So the
-chain never forms ``V_j``: it applies it as a rank-2m correction of the top
-``jm`` rows of the first ``(j-1)m`` columns, and writes the next ``m``
-columns, which is ``O(n^3 m^3)`` work in all.  For ``m = 1`` everything
-reduces to :mod:`dmparam.single`, whose chain applies each ``V_j`` as a
-rank-2 update of the top ``j`` rows.
-
-No level's matrix angle depends on another level; only the product
-``A_n ... A_2`` is sequential.  So :func:`assemble_rho_block` computes the
-factors of all levels in one pass (one batched SVD of the levels padded to
-the tallest, then the blocks of every ``V_j`` as stacked products) and the
-core blocks ``Lambda_k`` as one ``(n, m, m)`` product; the chain then
-applies the levels one by one.  The single-level layer functions call the
-same kernel with one level.
+``V_j`` is the identity plus a rank-2m correction, ``I + Y K Y^dag`` with
+``Y = [[Q, 0], [0, R]]`` and ``K = [[cos sigma - 1, sin sigma], [-sin sigma,
+cos sigma - 1]]`` (diagonal ``m x m`` entries): the single-system level
+promoted to blocks.  So both chains run one kernel, ``linalg._chain``,
+which applies the levels to the top-left corner of the running product
+without forming any ``V_j``; for ``m = 1`` everything reduces to
+:mod:`dmparam.single`.  No level's angle depends on another, so one batched
+SVD of the levels, padded to the tallest, gives the factors of all of them.
 
 Inputs are checked once.  :class:`BlockParams` stores each level as a frozen
 ``(j - 1, m, m)`` stack, and :func:`assemble_rho_block` reads it through
-kernels that check nothing (``_core``, ``_core_blocks``, ``_angle_data``,
-``_chain``, ``_generator``), which the public layer functions call after
-checking their raw arguments.
+kernels that check nothing (``_product``, ``_frame``, ``_generator``), which
+the public layer functions call after checking their raw arguments.
 """
 
 from __future__ import annotations
@@ -65,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DmParamError, SingularAngleError
-from .linalg import DEFAULT_TOL, Tolerances, _require_unitary
+from .linalg import DEFAULT_TOL, Tolerances, _chain, _require_unitary
 from .single import _check_simplex
 from .states import DensityMatrix
 
@@ -121,63 +113,19 @@ def _as_blocks(Zs, m=None, who="block vector", j=None):
     return T, m
 
 
-def _angle_data(levels):
-    """The factors of ``V_j`` for a sequence of validated level stacks.
-
-    Level ``l`` holds ``k`` blocks, stacked into the ``km x m`` matrix ``Z``
-    with the thin SVD ``Z = Q diag(sigma) R^dag``: ``Q`` has orthonormal
-    columns, ``sigma`` (descending) is the spectrum of ``Xi`` and ``R`` its
-    eigenvectors.  All SVDs are one batched call on the levels padded with
-    zero rows to the tallest.
-
-    Returns ``sigma`` ``(L, m)``, the conjugate ``Q`` ``(L, Km, m)``, and two
-    ``(L, (K + 1) m, m)`` stacks whose first ``(k + 1) m`` rows hold, per
-    level, ``M = [Q (1 - cos sigma); R sin(sigma)]`` and ``N = [Q sin(sigma)
-    R^dag; cos Xi]``, with ``cos Xi = R cos(sigma) R^dag``.
-    """
+def _product(d, levels):
+    """``A_n ... A_2`` as a ``d x d`` matrix for consecutive validated level
+    stacks: ``Q``, ``sigma`` and ``R`` of each level's thin SVD
+    ``Z = Q diag(sigma) R^dag``, one batched call on the levels padded with
+    zero rows to the tallest (the padded rows of ``Q`` stay zero, as the
+    kernel needs: every Householder reflection of the SVD fixes them)."""
     k = [len(T) for T in levels]
     L, K, m = len(k), max(k), levels[0].shape[-1]
     Z = np.zeros((L, K, m, m), dtype=complex)
     for l, T in enumerate(levels):
         Z[l, : k[l]] = T
-    Z = Z.reshape(L, K * m, m)
-    Q, sigma, Rh = np.linalg.svd(Z, full_matrices=False)
-    c, s = np.cos(sigma)[:, None], np.sin(sigma)[:, None]
-    R = Rh.conj().swapaxes(-1, -2)
-    C = (R * c) @ Rh
-    M = np.empty((L, K + 1, m, m), dtype=complex)
-    N = np.empty_like(M)
-    M[:, :K] = (Q * (1.0 - c)).reshape(L, K, m, m)
-    N[:, :K] = (Q @ (s.swapaxes(-1, -2) * Rh)).reshape(L, K, m, m)
-    M[np.arange(L), k] = R * s
-    N[np.arange(L), k] = (C + C.conj().swapaxes(-1, -2)) / 2.0
-    return sigma, Q.conj(), M.reshape(L, -1, m), N.reshape(L, -1, m)
-
-
-def _chain(U, levels):
-    """``U = A_n ... A_2 U`` in place for validated level stacks and ``U``
-    the identity.
-
-    Before level ``j`` the product is the identity outside its top-left
-    ``km`` corner ``P`` (``k = j - 1``), so ``V_j`` only changes the first
-    ``jm`` rows of the first ``jm`` columns: with ``W = Q^dag P``, the first
-    ``km`` columns lose ``M W`` and the next ``m`` become ``N``.  That is a
-    rank-2m correction, from the paper's closed form with ``Zh = Q R^dag``
-    (the polar factor of ``Z``, defined at singular angles too), ``C = cos
-    Xi`` and ``S = sin Xi``: top-left ``I - Zh (I - C) Zh^dag``, last block
-    column ``Zh S``, last block row ``-S Zh^dag`` and corner ``C``.  It is
-    unitary to rounding at every scale, since ``Q`` and ``R`` are.  All-zero
-    levels are skipped.
-    """
-    sigma, QH, M, N = _angle_data(levels)
-    m = sigma.shape[1]
-    for l, T in enumerate(levels):
-        km = len(T) * m
-        if sigma[l, 0]:
-            W = QH[l, :km].T @ U[:km, :km]
-            U[: km + m, :km] -= M[l, : km + m] @ W
-            U[: km + m, km : km + m] = N[l, : km + m]
-    return U
+    Q, sigma, Rh = np.linalg.svd(Z.reshape(L, K * m, m), full_matrices=False)
+    return _chain(d, Q, Rh.conj().swapaxes(-1, -2), np.cos(sigma) - 1.0, np.sin(sigma))
 
 
 def block_angle(Zs) -> np.ndarray:
@@ -237,7 +185,7 @@ def build_Vjnm(Zs, j: int, m: int) -> np.ndarray:
     identity for an all-zero block vector.
     """
     T, m = _as_blocks(Zs, m, "build_Vjnm", j)
-    return _chain(np.eye(j * m, dtype=complex), (T,))
+    return _product(j * m, (T,))
 
 
 def build_Ajnm(Zs, n: int, j: int, m: int) -> np.ndarray:
@@ -250,7 +198,7 @@ def build_Ajnm(Zs, n: int, j: int, m: int) -> np.ndarray:
     if not 2 <= j <= n:
         raise DmParamError(f"need 2 <= j <= n, got j={j}, n={n}")
     T, m = _as_blocks(Zs, m, "build_Ajnm", j)
-    return _chain(np.eye(n * m, dtype=complex), (T,))
+    return _product(n * m, (T,))
 
 
 def _check_core(lambdas, local_unitaries, n, m, who):
@@ -279,27 +227,20 @@ def build_core(lambdas, local_unitaries, n: int, m: int) -> np.ndarray:
     eigenvalues are checked as a simplex point (traces summing to one) and
     the unitaries within ``UNITARY_TOL``.
     """
-    L = _core_blocks(*_check_core(lambdas, local_unitaries, n, m, "build_core"))
+    lambdas, unitaries = _check_core(lambdas, local_unitaries, n, m, "build_core")
+    U = np.array(unitaries)
+    L = (U * lambdas.reshape(n, 1, m)) @ U.conj().swapaxes(-1, -2)
+    L = (L + L.conj().swapaxes(-1, -2)) / 2.0
     L.flags.writeable = False
     return L
 
 
-def _core_blocks(lambdas, unitaries):
-    """The blocks ``Lambda_k`` of validated inputs as one ``(n, m, m)`` stack."""
-    U = np.array(unitaries)
-    n, m = U.shape[:2]
-    L = (U * lambdas.reshape(n, 1, m)) @ U.conj().swapaxes(-1, -2)
-    return (L + L.conj().swapaxes(-1, -2)) / 2.0
-
-
-def _core(lambdas, unitaries):
-    """The block-diagonal core ``D(Lambda_1 | ... | Lambda_n)`` of validated inputs."""
-    L = _core_blocks(lambdas, unitaries)
-    n, m = L.shape[:2]
-    D = np.zeros((n * m, n * m), dtype=complex)
-    k = np.arange(n)
-    D.reshape(n, m, n, m)[k, :, k] = L
-    return D
+def _frame(U, unitaries):
+    """``U blockdiag(U_1, ..., U_n)`` as one stacked product of the ``n``
+    ``nm x m`` block columns of ``U`` with their ``U_k``."""
+    n, m = len(unitaries), len(unitaries[0])
+    W = U.reshape(n * m, n, m).swapaxes(0, 1) @ np.array(unitaries)
+    return W.swapaxes(0, 1).reshape(n * m, n * m)
 
 
 @dataclass(frozen=True)
@@ -352,10 +293,9 @@ def assemble_rho_block(p: BlockParams, tol: Tolerances = DEFAULT_TOL) -> Density
     ``p`` is checked.
     """
     n, m = p.n, p.m
-    D = _core(p.lambdas, p.local_unitaries)
-    U = np.eye(n * m, dtype=complex)
-    if p.blockvecs:
-        _chain(U, p.blockvecs)
-    rho = U @ D @ U.conj().T
+    U = _product(n * m, p.blockvecs) if p.blockvecs else np.eye(n * m, dtype=complex)
+    # rho = U D U^dag without D: D = F diag(lambdas) F^dag, F = blockdiag(U_k)
+    W = _frame(U, p.local_unitaries)
+    rho = (W * p.lambdas) @ W.conj().T
     rho = (rho + rho.conj().T) / 2.0
     return DensityMatrix(n, m, rho, tol)

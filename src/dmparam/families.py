@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .blocks import _angle_data, _as_blocks
+from .blocks import _as_blocks, _product
 from .entanglement import _angle_ok, _check_angles, _circulant_margins
 from .errors import DmParamError
 from .linalg import DEFAULT_TOL, TRACE_TOL, Tolerances, _require_psd, _require_unitary
@@ -309,11 +309,7 @@ def class3_state(n: int, m: int, Zs, tol: Tolerances = DEFAULT_TOL) -> DensityMa
     if n < 2:
         raise DmParamError(f"class3_state: need n >= 2, got {n}")
     T, m = _as_blocks(Zs, m, "class3_state", n)
-    sigma, _, _, N = _angle_data((T,))
-    if sigma[0, 0]:
-        col = N[0]
-    else:  # the chain skips an all-zero level: the column of the identity
-        col = np.eye(n * m, m, -(n - 1) * m, dtype=complex)
+    col = _product(n * m, (T,))[:, -m:]
     rho = (col @ col.conj().T) / m
     rho = (rho + rho.conj().T) / 2.0
     return DensityMatrix(n, m, rho, tol)

@@ -205,6 +205,113 @@ def polar(Z):
     return P, U
 
 
+def _levels_per_block(m):
+    """Levels per compact-WY block of :func:`_chain` for ``m x m`` blocks.
+    A rank-2 level (``m = 1``) is too thin to be a matrix product of its
+    own; from ``m = 2`` on, a level alone is one."""
+    return 12 if m == 1 else 1
+
+
+def _chain(d, Q, R, cm1, sin):
+    """``V_L ... V_1`` as a ``d x d`` matrix, for ``L`` consecutive chain levels.
+
+    Level ``l`` has ``k = k_0 + l`` blocks of size ``m x m`` (the stack
+    ``Q`` is as tall as the top level's ``k m`` rows) and is the identity
+    outside its top ``(k + 1) m`` rows and columns, where
+
+        V = I + Y K Y^dag,   Y = [[Q, 0], [0, R]],   K = [[cm1, sin], [-sin, cm1]],
+
+    with ``Q = Q[l]`` (orthonormal columns, zero below the level's ``k m``
+    rows), ``R = R[l]`` unitary, and ``cm1 = cos sigma - 1``, ``sin = sin
+    sigma`` the diagonal ``m x m`` entries of ``K``.  The block chain is this
+    form with ``Z = Q diag(sigma) R^dag``, the single chain with ``m = 1``,
+    ``Q = z / ||z||`` and ``R = 1``.  A zero angle has zero ``K`` entries, so
+    an all-zero level is the identity.
+
+    ``b = _levels_per_block(m)`` consecutive levels multiply to
+    ``I + Y T Y^dag``, with ``Y`` their ``Y`` side by side, their ``K`` on
+    the block diagonal of ``K`` and ``T = (I - K L)^{-1} K``, where ``L`` is
+    the part of ``Y^dag Y`` whose row belongs to a later level than its
+    column.  ``I - K L`` is unit lower triangular in level order, so ``T``
+    exists at every angle; for one level ``T = K``.  Before a block the
+    product is the identity outside its top-left ``p x p`` corner ``P``, and
+    the block's ``R`` rows lie below ``p``: so it adds ``(Y T)_Q Q^dag P`` to
+    the first ``p`` columns, ``_Q`` keeping the ``Q`` columns, and writes its
+    own columns.
+    """
+    L, rows, m = Q.shape
+    k0 = rows // m - L + 1
+    b = min(_levels_per_block(m), L)
+    if b <= 1:
+        blocks = _level_factors(Q, R, cm1, sin, k0)
+    else:
+        blocks = _wy_factors(Q, R, cm1, sin, k0, b)
+    U = np.eye(d, dtype=complex)
+    for p, QH, A, B in blocks:
+        top = p + A.shape[-1]
+        W = QH[:, :p] @ U[:p, :p]
+        U[:top, :p] += A[:top] @ W
+        U[:top, p:top] = B[:top]
+    return U
+
+
+def _level_factors(Q, R, cm1, sin, k0):
+    """``(p, Q^dag, (Y K)_Q, I + Y K Y^dag)`` of every level as its own
+    block (``T = K``), all levels at once: ``(Y K)_Q = [Q cm1; -R sin]`` and
+    the level's new columns ``[Q sin R^dag; I + R cm1 R^dag]``."""
+    L, rows, m = Q.shape
+    k = rows // m
+    Rh = R.conj().swapaxes(-1, -2)
+    A = np.empty((L, k + 1, m, m), dtype=complex)
+    B = np.empty_like(A)
+    A[:, :k] = (Q * cm1[:, None]).reshape(L, k, m, m)
+    B[:, :k] = (Q @ (sin[..., None] * Rh)).reshape(L, k, m, m)
+    last = (np.arange(L), np.arange(k0, k0 + L))
+    A[last] = -(R * sin[:, None])
+    B[last] = R @ (cm1[..., None] * Rh) + np.eye(m)
+    QH = Q.conj().swapaxes(-1, -2)
+    return zip(range(k0 * m, rows + m, m), QH, A.reshape(L, rows + m, m), B.reshape(L, rows + m, m))
+
+
+def _wy_factors(Q, R, cm1, sin, k0, b):
+    """``(p, Y_Q^dag, (Y T)_Q, I + Y T Y^dag)`` of every block of ``b``
+    levels (fewer in the last), ``Y`` ordered as every ``Q``, then every ``R``.
+
+    A level's ``R`` rows lie below the ``Q`` rows of every earlier level and
+    apart from the ``R`` rows of every other, so the ``R`` rows of ``L``
+    vanish and ``K L = P L_Q``, with ``P = [cm1; -sin]`` and ``L_Q`` the
+    ``Q`` rows.  So ``T = K + P X``, ``X = (I - L_Q P)^{-1} L_Q K``: a
+    system of half the size, unit lower triangular in level order too."""
+    L, rows, m = Q.shape
+    bm = b * m
+    level = np.arange(bm) // m
+    later = np.greater.outer(level, level)[:, None, :]  # (row, side, column)
+    eye, i, j = np.eye(bm), np.arange(b), np.arange(bm)
+    cm1, sin = cm1.reshape(-1), sin.reshape(-1)
+    for lo in range(0, L, b):
+        q = min(b, L - lo)
+        qm, p = q * m, (k0 + lo) * m
+        top = p + qm
+        Y = np.zeros((top, 2, q, m), dtype=complex)
+        Y[:rows, 0] = Q[lo : lo + q, :top].swapaxes(0, 1)
+        Y[p:].reshape(q, m, 2, q, m)[i[:q], :, 1, i[:q]] = R[lo : lo + q]
+        Y = Y.reshape(top, 2 * qm)
+        Yh = Y.conj().T
+        LQ = ((Yh[:qm] @ Y).reshape(qm, 2, qm) * later[:qm, :, :qm]).reshape(qm, 2 * qm)
+        c, s, jq = cm1[lo * m : lo * m + qm], sin[lo * m : lo * m + qm], j[:qm]
+        K = np.zeros((2, qm, 2, qm))
+        K[0, jq, 0, jq] = K[1, jq, 1, jq] = c
+        K[0, jq, 1, jq] = s
+        K[1, jq, 0, jq] = -s
+        K = K.reshape(2 * qm, 2 * qm)
+        LK = LQ @ K
+        X = np.linalg.solve(eye[:qm, :qm] - LK[:, :qm], LK)
+        YT = Y @ (K + np.concatenate([c[:, None] * X, -s[:, None] * X]))
+        B = YT @ Yh[:, p:]
+        B[p:] += eye[:qm, :qm]
+        yield p, Yh[:qm], YT[:, :qm], B
+
+
 def haar_unitary(m: int, seed: int) -> np.ndarray:
     """Draw an m x m Haar-distributed unitary, deterministically from `seed`.
 

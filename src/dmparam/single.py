@@ -19,19 +19,9 @@ that identity).  ``V_j`` is the identity plus a rank-2 correction,
 
     V_j = I + y_j K_j y_j^dag,   y_j = [[zh; 0], e_j],   K_j = [[c - 1, s], [-s, c - 1]],
 
-with ``c = cos t`` and ``s = sin t``, so the chain never forms it.  It
-applies ``_BLOCK`` consecutive levels at a time in compact-WY form: their
-product is ``I + Y T Y^dag``, with ``Y`` the levels' ``y_j`` side by side,
-``K`` the block diagonal of their ``K_j`` and
-
-    T = (I - K L)^{-1} K,
-
-where ``L`` is the strictly block-lower part of ``Y^dag Y``.  ``I - K L`` is
-unit lower triangular, so ``T`` exists at every angle.  A block ending at
-level ``k`` updates the top-left ``k x k`` corner ``P`` of the running
-product, the only part the levels so far have touched, as
-``P += (Y T)(Y^dag P)``: matrix products instead of one pass over ``P`` per
-level, O(n^3) for the whole chain.
+with ``c = cos t`` and ``s = sin t``: the ``m = 1`` level of the block
+chain, so both chains run one kernel, ``linalg._chain``, which never forms
+a ``V_j`` and multiplies consecutive levels in compact-WY blocks.
 
 For ``n = 2`` and ``z_2 = t e^{i phi}`` the assembled state is
 
@@ -53,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DmParamError
-from .linalg import DEFAULT_TOL, Tolerances
+from .linalg import DEFAULT_TOL, Tolerances, _chain
 from .states import DensityMatrix
 
 __all__ = [
@@ -65,11 +55,6 @@ __all__ = [
 ]
 
 _SIMPLEX_TOL = 1e-12
-#: Levels per compact-WY block of :func:`assemble_rho_single`.
-_BLOCK = 12
-#: ``_LATER[a, b]``: row ``a`` of a block's ``Y^dag Y`` belongs to a later
-#: level than column ``b`` (two rows and columns per level).
-_LATER = np.greater.outer(np.arange(2 * _BLOCK) // 2, np.arange(2 * _BLOCK) // 2)
 
 
 def _check_simplex(lambdas, size, descending, who):
@@ -162,14 +147,6 @@ def build_Xj_single(z, n: int, j: int) -> np.ndarray:
     return X
 
 
-def _rotation(z):
-    """``(zh, cos t, sin t)`` with ``t = ||z||`` and ``zh = z / t``; ``None`` for ``t = 0``."""
-    theta = float(np.linalg.norm(z))
-    if theta == 0.0:
-        return None
-    return z / theta, np.cos(theta), np.sin(theta)
-
-
 def build_Vjn(z, j: int) -> np.ndarray:
     """Closed form of the ``j x j`` unitary generated by ``z``.
 
@@ -180,62 +157,35 @@ def build_Vjn(z, j: int) -> np.ndarray:
     z = np.asarray(z, dtype=complex).reshape(-1)
     if j < 2 or z.shape[0] != j - 1:
         raise DmParamError(f"build_Vjn: z must have length j-1 = {j - 1}, got {z.shape[0]}")
-    V = np.eye(j, dtype=complex)
-    rotation = _rotation(z)
-    if rotation is None:
-        return V
-    zh, c, s = rotation
-    V[: j - 1, : j - 1] -= (1.0 - c) * np.outer(zh, zh.conj())
-    V[: j - 1, j - 1] = s * zh
-    V[j - 1, : j - 1] = -s * zh.conj()
-    V[j - 1, j - 1] = c
-    return V
+    if not np.all(np.isfinite(z)):
+        raise DmParamError("build_Vjn: z has non-finite entries")
+    return _product(j, (z,))
 
 
 def assemble_rho_single(p: SingleParams, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
     """Assemble ``rho = A_n ... A_2 diag(lambdas) A_2^dag ... A_n^dag``.
 
     The spectrum of the result equals ``p.lambdas`` as a multiset (the
-    conjugation is unitary) and the trace is one.  The ``V_j`` act on the
-    running product ``_BLOCK`` levels at a time, in compact-WY form.
+    conjugation is unitary) and the trace is one.
     """
     n = p.n
-    U = _chain(n, p.zvecs)
+    U = _product(n, p.zvecs)
     rho = (U * p.lambdas) @ U.conj().T
     return DensityMatrix(n, 1, rho, tol)
 
 
-def _chain(n, zvecs):
-    """``V_n ... V_2``, ``_BLOCK`` levels at a time in compact-WY form."""
-    U = np.eye(n, dtype=complex)
-    # row j - 2: zh of level j, zero-padded to length n (zero for t = 0)
-    Zh = np.zeros((n - 1, n), dtype=complex)
-    for j, z in enumerate(zvecs, start=2):
-        Zh[j - 2, : j - 1] = z
+def _product(d, zvecs):
+    """``V_d ... V_2`` as a ``d x d`` matrix for consecutive z-vectors
+    ending at level ``d``: each level's ``zh = z / ||z||`` (zero for
+    ``z = 0``), ``R = 1`` and the cosine and sine of ``||z||``, applied by
+    :func:`linalg._chain`."""
+    Zh = np.zeros((len(zvecs), d - 1), dtype=complex)
+    for l, z in enumerate(zvecs):
+        Zh[l, : len(z)] = z
     theta = np.linalg.norm(Zh, axis=1)
-    live = theta > 0.0
-    Zh[live] /= theta[live, None]
-    # t = 0 gives K = 0, so a zero level acts as the identity
-    cm1, sin = np.cos(theta) - 1.0, np.sin(theta)
-    for lo in range(0, n - 1, _BLOCK):
-        hi = min(lo + _BLOCK, n - 1)  # levels j = lo + 2 .. hi + 1
-        q, k = hi - lo, hi + 1
-        r = np.arange(q)
-        Y = np.zeros((k, 2 * q), dtype=complex)
-        Y[:, 0::2] = Zh[lo:hi, :k].T
-        Y[lo + 1 + r, 2 * r + 1] = 1.0  # e_j
-        K = np.zeros((q, 2, q, 2))
-        K[r, 0, r, 0] = K[r, 1, r, 1] = cm1[lo:hi]
-        K[r, 0, r, 1] = sin[lo:hi]
-        K[r, 1, r, 0] = -sin[lo:hi]
-        K = K.reshape(2 * q, 2 * q)
-        Yh = Y.conj().T
-        L = (Yh @ Y) * _LATER[: 2 * q, : 2 * q]
-        T = np.linalg.solve(np.eye(2 * q) - K @ L, K)
-        # the levels so far touched only the top-left k x k corner
-        P = U[:k, :k]
-        P += (Y @ T) @ (Yh @ P)
-    return U
+    Zh /= np.where(theta > 0.0, theta, 1.0)[:, None]
+    return _chain(d, Zh[..., None], np.ones((len(zvecs), 1, 1)),
+                  np.cos(theta)[:, None] - 1.0, np.sin(theta)[:, None])
 
 
 def param_count(n: int) -> int:

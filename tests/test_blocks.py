@@ -296,16 +296,10 @@ class TestAssembleBlock:
 
 
 def test_block_chain_invariant_sees_a_wrong_side_core(monkeypatch):
-    # the reference builds its core apart from blocks._core, so conjugating
+    # the reference builds its core apart from blocks._frame, so conjugating
     # on the wrong side there moves the closed form off the paper's definition
-    def wrong_side(lambdas, unitaries):
-        n, m = len(unitaries), len(unitaries[0])
-        D = np.zeros((n * m, n * m), dtype=complex)
-        for k, U in enumerate(unitaries):
-            rows = slice(k * m, (k + 1) * m)
-            D[rows, rows] = (U.conj().T * lambdas[rows]) @ U
-        return D
-
-    monkeypatch.setattr(blocks, "_core", wrong_side)
+    real = blocks._frame
+    monkeypatch.setattr(blocks, "_frame", lambda U, unitaries: real(
+        U, tuple(Uk.conj().T for Uk in unitaries)))
     results = {r.name: r for r in run_validation(seed=3, trials=5)}
     assert not results["block chain"].ok

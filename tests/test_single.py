@@ -146,6 +146,11 @@ class TestBuildVjn:
         with pytest.raises(DmParamError, match="^build_Vjn: z must have length j-1 = 1, got 2$"):
             build_Vjn(np.zeros(2), 2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(DmParamError, match="^build_Vjn: z has non-finite entries$"):
+            build_Vjn([0.5, bad], 3)
+
 
 class TestAssemble:
     def test_all_zero_is_diagonal(self):

@@ -18,12 +18,16 @@ from dmparam import (
     build_Vjn,
     build_Vjnm,
     build_Xj_block,
+    class3_state,
     expm_skew,
 )
 from dmparam._random import rand_block_params, rand_complex, rand_single_params
-from dmparam import validate
-from dmparam.single import _BLOCK
+from dmparam import blocks, linalg, single, validate
+from dmparam.linalg import _chain, _levels_per_block
 from dmparam.validate import _exp_chain, run_validation
+
+#: Levels per compact-WY block of the single chain.
+_BLOCK = _levels_per_block(1)
 
 
 @pytest.mark.parametrize("j,m", [(16, 4), (32, 2)])
@@ -47,8 +51,8 @@ def _per_level_factors(T, K):
 
 
 def _cos_xi(sigma, Rh):
-    C = (Rh.conj().T * np.cos(sigma)) @ Rh
-    return (C + C.conj().T) / 2.0
+    """``cos Xi = I + R (cos sigma - 1) R^dag``, as the chain writes it."""
+    return np.eye(len(sigma)) + Rh.conj().T @ ((np.cos(sigma) - 1.0)[:, None] * Rh)
 
 
 def _blockwise_Vjnm(Zs, j, m):
@@ -87,10 +91,18 @@ def test_block_auto_matches_exp(n, m):
 
 
 def _dense_single(p):
+    """The single chain as a product of embedded ``n x n`` factors, each
+    filled from the closed form of ``V_j``, apart from the chain kernel."""
     U = np.eye(p.n, dtype=complex)
     for j, z in enumerate(p.zvecs, start=2):
         A = np.eye(p.n, dtype=complex)
-        A[:j, :j] = build_Vjn(z, j)
+        t = np.linalg.norm(z)
+        if t > 0.0:
+            zh, c, s = z / t, np.cos(t), np.sin(t)
+            A[: j - 1, : j - 1] -= (1.0 - c) * np.outer(zh, zh.conj())
+            A[: j - 1, j - 1] = s * zh
+            A[j - 1, : j - 1] = -s * zh.conj()
+            A[j - 1, j - 1] = c
         U = A @ U
     return (U * p.lambdas) @ U.conj().T
 
@@ -124,7 +136,7 @@ def _unit_zvecs(rng, n, angle):
 
 
 # no level, one level, one partial block, and the block edges of the chain
-_SIZES = [1, 2, 3, _BLOCK, _BLOCK + 1, _BLOCK + 2, 2 * _BLOCK + 1, 100]
+_SIZES = [1, 2, 3, _BLOCK, _BLOCK + 1, _BLOCK + 2, 2 * _BLOCK + 1, 2 * _BLOCK + 2, 100]
 
 
 @pytest.mark.parametrize("n", _SIZES)
@@ -253,18 +265,23 @@ def _per_level_Vj(T):
 
 
 def _per_level_rho(p):
-    """``assemble_rho_block(p).mat`` one level at a time, each level's SVD
-    padded to the top level's ``n - 1`` blocks as the batch pads it."""
+    """``assemble_rho_block(p).mat`` from each level's own SVD, padded to the
+    top level's ``n - 1`` blocks as the batch pads it.  Where the chain takes
+    one level at a time (``m >= 2``) the levels are applied one by one here;
+    at ``m = 1`` it takes them in compact-WY blocks, so the per-level factors
+    go through the kernel and only the batching of the SVD is compared."""
     n, m = p.n, p.m
-    D = np.zeros((n * m, n * m), dtype=complex)
-    for k, U in enumerate(p.local_unitaries):
-        L = (U * p.lambdas[k * m : (k + 1) * m]) @ U.conj().T
-        D[k * m : (k + 1) * m, k * m : (k + 1) * m] = (L + L.conj().T) / 2.0
     U = np.eye(n * m, dtype=complex)
-    for T in p.blockvecs:
-        if np.any(T):
+    if _levels_per_block(m) == 1:
+        for T in p.blockvecs:
             _per_level_update(U, T, n - 1)
-    rho = U @ D @ U.conj().T
+    elif p.blockvecs:
+        Q, sigma, Rh = zip(*(_per_level_factors(T, n - 1) for T in p.blockvecs))
+        Q = np.stack([np.vstack([q, np.zeros(((n - 1) * m - len(q), m))]) for q in Q])
+        sigma, R = np.array(sigma), np.array(Rh).conj().swapaxes(-1, -2)
+        U = _chain(n * m, Q, R, np.cos(sigma) - 1.0, np.sin(sigma))
+    W = np.hstack([U[:, k * m : (k + 1) * m] @ Uk for k, Uk in enumerate(p.local_unitaries)])
+    rho = (W * p.lambdas) @ W.conj().T
     return (rho + rho.conj().T) / 2.0
 
 
@@ -325,3 +342,75 @@ def test_extreme_scales_pass_the_state_gate(n, m, singular_top, scale):
     q = BlockParams(n, m, p.lambdas, p.local_unitaries, vecs)
     rho = assemble_rho_block(q)
     assert np.max(np.abs(np.linalg.eigvalsh(rho.mat) - np.sort(q.lambdas))) <= 1e-9
+
+
+def _degraded(p, kind, rng):
+    """``p`` with every other level zero (the first and the last among
+    them), or with every level's blocks sharing a random kernel vector, so
+    that each angle is singular (zero at ``m = 1``)."""
+    vecs = list(p.blockvecs)
+    if kind == "zero":
+        for l in range(0, len(vecs), 2):
+            vecs[l] = np.zeros_like(vecs[l])
+        vecs[-1] = np.zeros_like(vecs[-1])
+    elif kind == "rank-deficient":
+        v = rand_complex(rng, p.m)
+        v /= np.linalg.norm(v)
+        proj = np.eye(p.m) - np.outer(v, v.conj())
+        vecs = [T @ proj for T in vecs]
+    return BlockParams(p.n, p.m, p.lambdas, p.local_unitaries, tuple(vecs))
+
+
+def _kernel_cases():
+    """``(m, levels)``: one level short of a kernel block, one block, one
+    past it, and two blocks and one level, for the block size of each m."""
+    for m in (1, 2, 3, 4):
+        b = _levels_per_block(m)
+        for levels in sorted({b - 1, b, b + 1, 2 * b + 1} - {0}):
+            yield m, levels
+
+
+@pytest.mark.parametrize("kind", ["generic", "zero", "rank-deficient"])
+@pytest.mark.parametrize("m,levels", list(_kernel_cases()))
+def test_block_kernel_matches_exponential_around_its_block_size(m, levels, kind):
+    rng = np.random.default_rng(200 + 10 * m + levels)
+    p = _degraded(rand_block_params(rng, levels + 1, m), kind, rng)
+    assert np.max(np.abs(assemble_rho_block(p).mat - _exp_chain(p).mat)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["generic", "zero", "rank-deficient"])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_single_level_kernel_embedded_in_a_larger_unitary(m, kind):
+    # level j = 3 of an n = 5 chain: the kernel writes the top 3m rows only
+    rng = np.random.default_rng(300 + m)
+    Zs = _degraded(rand_block_params(rng, 3, m), kind, rng).blockvecs[-1]
+    A = build_Ajnm(Zs, 5, 3, m)
+    assert np.max(np.abs(A - expm_skew(build_Xj_block(Zs, 5, 3, m)))) <= 1e-12
+    assert np.array_equal(A[3 * m :], np.eye(5 * m)[3 * m :])
+
+
+def test_every_chain_runs_the_one_kernel(monkeypatch):
+    assert blocks._chain is single._chain is linalg._chain
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return linalg._chain(*args)
+
+    monkeypatch.setattr(blocks, "_chain", counted)
+    monkeypatch.setattr(single, "_chain", counted)
+    rng = np.random.default_rng(400)
+    pb, ps = rand_block_params(rng, 4, 2), rand_single_params(rng, 30)
+    Zs = pb.blockvecs[-1]
+    callers = {
+        "assemble_rho_block": lambda: assemble_rho_block(pb),
+        "assemble_rho_single": lambda: assemble_rho_single(ps),
+        "build_Vjnm": lambda: build_Vjnm(Zs, 4, 2),
+        "build_Ajnm": lambda: build_Ajnm(Zs, 5, 4, 2),
+        "build_Vjn": lambda: build_Vjn(ps.zvecs[-1], 30),
+        "class3_state": lambda: class3_state(4, 2, Zs),
+    }
+    for name, call in callers.items():
+        calls.clear()
+        call()
+        assert len(calls) == 1, name
