@@ -113,10 +113,10 @@ def _as_blocks(Zs, m=None, who="block vector", j=None):
     return T, m
 
 
-def _product(d, levels):
-    """``A_n ... A_2`` as a ``d x d`` matrix for consecutive validated level
-    stacks: ``Q``, ``sigma`` and ``R`` of each level's thin SVD
-    ``Z = Q diag(sigma) R^dag``, one batched call on the levels padded with
+def _level_svd(levels):
+    """The kernel's ``Q``, ``R``, ``cos sigma - 1`` and ``sin sigma`` for
+    consecutive validated level stacks, from each level's thin SVD
+    ``Z = Q diag(sigma) R^dag``: one batched call on the levels padded with
     zero rows to the tallest (the padded rows of ``Q`` stay zero, as the
     kernel needs: every Householder reflection of the SVD fixes them)."""
     k = [len(T) for T in levels]
@@ -125,7 +125,12 @@ def _product(d, levels):
     for l, T in enumerate(levels):
         Z[l, : k[l]] = T
     Q, sigma, Rh = np.linalg.svd(Z.reshape(L, K * m, m), full_matrices=False)
-    return _chain(d, Q, Rh.conj().swapaxes(-1, -2), np.cos(sigma) - 1.0, np.sin(sigma))
+    return Q, Rh.conj().swapaxes(-1, -2), np.cos(sigma) - 1.0, np.sin(sigma)
+
+
+def _product(d, levels):
+    """``A_n ... A_2`` as a ``d x d`` matrix for consecutive validated level stacks."""
+    return _chain(d, *_level_svd(levels))
 
 
 def block_angle(Zs) -> np.ndarray:

@@ -300,8 +300,12 @@ def cmd_sweep(args, tol) -> int:
     # Axis names are parameter names and the other cells are numbers or
     # true/false/boundary, so no cell needs CSV quoting: each chunk is one
     # ``%`` format with 17 significant digits and csv's ``\r\n`` line ending.
+    # An axis whose values repeat over the grid has each value formatted once;
+    # one longer than a chunk is formatted per row, so memory follows the chunk.
+    texts = [["%.17g" % x for x in _axis_values(lo, hi, count, np.arange(count)).tolist()]
+             if count < total and count <= _SWEEP_CHUNK else None for _, lo, hi, count in axes]
     header = names + ["min_pt_eig", "analytic_margin", "analytic_ppt", "numeric_ppt", "agreement"]
-    template = "%.17g," * (len(names) + 2) + "%s\r\n"
+    template = "".join("%.17g," if t is None else "%s," for t in texts) + "%.17g,%.17g,%s\r\n"
     try:
         fh = open(args.output, "w", newline="", encoding="utf-8")
     except OSError as exc:
@@ -316,8 +320,9 @@ def cmd_sweep(args, tol) -> int:
                 margin = np.broadcast_to(margin, rows.shape)
                 tail = (4 * (margin >= 0.0) + 2 * (min_pt >= -tol.tol_psd)
                         + (np.abs(margin) < BOUNDARY_BAND))
-                numbers = [point[name] for name in names] + [min_pt, margin]
-                cells = zip(*(col.tolist() for col in numbers),
+                columns = [point[name].tolist() if t is None else map(t.__getitem__, i.tolist())
+                           for name, t, i in zip(names, texts, np.unravel_index(rows, counts))]
+                cells = zip(*columns, min_pt.tolist(), margin.tolist(),
                             map(_SWEEP_TAILS.__getitem__, tail.tolist()))
                 fh.write((template * len(rows)) % tuple(itertools.chain.from_iterable(cells)))
     except BaseException as exc:

@@ -17,7 +17,15 @@ singular values above a threshold derived from the step and the rounding
 Generic points: eigenvalues at least ``1 / (4 d^2)`` apart and every matrix
 angle below ``pi / 2``, away from the degenerate spectra and boundary angles
 where the rank is predicted to drop.
+
+At a spectrum with eigenvalue multiplicities ``n_i`` the states nearby are
+the unitary orbit, of dimension ``d^2 - sum n_i^2``, plus the ``d - 1``
+directions that move the eigenvalues, so the rank drops to
+``d^2 - 1 - sum n_i (n_i - 1)``.  Boundary angles are not tested: their drop
+is not derived.
 """
+
+import pytest
 
 import numpy as np
 from hypothesis import given, settings
@@ -146,6 +154,36 @@ def test_block_jacobian_has_the_dimension_of_the_states(seed, n, m):
     moves = list(_block_moves(lam, us, vecs))
     assert len(moves) == d * d + d - 1
     assert _rank(state, moves, d) == d * d - 1
+
+
+def _degenerate_simplex(rng, mult):
+    """A point of the simplex with ``mult[i]`` entries equal to the ``i``-th
+    of ``len(mult)`` values spaced as in :func:`_separated_simplex`, in a
+    random order."""
+    values = np.arange(1, len(mult) + 1) + rng.uniform(0.0, 0.5, len(mult))
+    lam = np.repeat(values, mult)
+    return rng.permutation(lam / lam.sum())
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n, m, mult", [
+    (2, 2, (2, 1, 1)), (2, 2, (2, 2)), (3, 2, (3, 1, 1, 1)), (2, 3, (2, 2, 2)),
+    (4, 1, (2, 1, 1)), (3, 1, (3,)), (4, 2, (2, 2, 1, 1, 1, 1)),
+])
+def test_block_jacobian_rank_drops_at_degenerate_spectra(n, m, mult, seed):
+    # BlockParams takes eigenvalues in any order, so the central difference
+    # can split a degenerate group (SingleParams needs them descending)
+    d = n * m
+    rng = np.random.default_rng([seed, n, m, *mult])
+    lam = _degenerate_simplex(rng, mult)
+    us = tuple(rand_unitary(rng, m) for _ in range(n))
+    vecs = tuple(_below_right_angle(rng, rand_complex(rng, (j - 1, m, m))) for j in range(2, n + 1))
+
+    def state(params):
+        return assemble_rho_block(BlockParams(n, m, *params)).mat
+
+    predicted = d * d - 1 - sum(k * (k - 1) for k in mult)
+    assert _rank(state, list(_block_moves(lam, us, vecs)), d) == predicted
 
 
 @settings(max_examples=25, deadline=None)

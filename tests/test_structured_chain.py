@@ -408,9 +408,13 @@ def test_every_chain_runs_the_one_kernel(monkeypatch):
         "build_Vjnm": lambda: build_Vjnm(Zs, 4, 2),
         "build_Ajnm": lambda: build_Ajnm(Zs, 5, 4, 2),
         "build_Vjn": lambda: build_Vjn(ps.zvecs[-1], 30),
-        "class3_state": lambda: class3_state(4, 2, Zs),
     }
     for name, call in callers.items():
         calls.clear()
         call()
         assert len(calls) == 1, name
+    # class3_state keeps only the top level's new columns, which the level's
+    # factors give without running the kernel
+    calls.clear()
+    class3_state(4, 2, Zs)
+    assert not calls

@@ -30,9 +30,16 @@ SWEEPS = {
     "bell_diagonal": ([("p1", 0.0, 0.6), ("p3", 0.0, 0.3)], ["p2=0.1"]),
 }
 
-# total grid points -> points per axis, for one and two axes
-SHAPES = {1: (1, (1, 1)), 255: (255, (15, 17)), 256: (256, (16, 16)),
-          257: (257, (257, 1)), 600: (600, (20, 30))}
+# bell_diagonal over all three axes, as the benchmark scans it: each axis
+# repeats over the others, at its own stride
+THREE_AXES = {
+    "bell_diagonal_p123": ("bell_diagonal", [(f"p{k}", 0.0, 0.32) for k in (1, 2, 3)], []),
+}
+
+# total grid points -> points per axis, for one, two and three axes
+SHAPES = {1: ((1,), (1, 1), (1, 1, 1)), 255: ((255,), (15, 17), (3, 5, 17)),
+          256: ((256,), (16, 16), (4, 8, 8)), 257: ((257,), (257, 1), (1, 257, 1)),
+          600: ((600,), (20, 30), (6, 10, 10))}
 
 
 # Grids that start on each family's PPT boundary and leave it by less than
@@ -79,8 +86,7 @@ def _sweep(tmp_path, family, axes, counts, sets):
 @pytest.mark.parametrize("family", sorted(SWEEPS))
 def test_rows_equal_scalar_constructor(family, points, tmp_path):
     axes, sets = SWEEPS[family]
-    one, two = SHAPES[points]
-    counts = (one,) if len(axes) == 1 else two
+    counts = SHAPES[points][len(axes) - 1]
     rows = _sweep(tmp_path, family, axes, counts, sets)
     assert len(rows) == points
     f = FAMILIES[family]
@@ -122,10 +128,8 @@ def _expected_csv(family, axes, counts, sets, tol):
     return buf.getvalue().encode()
 
 
-def _sweep_and_expected_bytes(tmp_path, family, points, grids, tol_psd):
-    axes, sets = grids[family]
-    one, two = SHAPES[points]
-    counts = (one,) if len(axes) == 1 else two
+def _sweep_and_expected_bytes(tmp_path, family, axes, sets, points, tol_psd):
+    counts = SHAPES[points][len(axes) - 1]
     out = tmp_path / f"{family}.csv"
     argv = _argv(out, family, axes, counts, sets)
     if tol_psd is not None:
@@ -136,9 +140,10 @@ def _sweep_and_expected_bytes(tmp_path, family, points, grids, tol_psd):
 
 
 @pytest.mark.parametrize("points", sorted(SHAPES))
-@pytest.mark.parametrize("family", sorted(SWEEPS))
-def test_csv_bytes_equal_an_independent_writer(family, points, tmp_path):
-    got, expected = _sweep_and_expected_bytes(tmp_path, family, points, SWEEPS, None)
+@pytest.mark.parametrize("grid", sorted(SWEEPS) + sorted(THREE_AXES))
+def test_csv_bytes_equal_an_independent_writer(grid, points, tmp_path):
+    family, axes, sets = THREE_AXES[grid] if grid in THREE_AXES else (grid, *SWEEPS[grid])
+    got, expected = _sweep_and_expected_bytes(tmp_path, family, axes, sets, points, None)
     assert got == expected
 
 
@@ -146,7 +151,7 @@ def test_csv_bytes_equal_an_independent_writer(family, points, tmp_path):
 @pytest.mark.parametrize("family", sorted(NEAR_BOUNDARY))
 def test_csv_bytes_near_the_boundary(family, points, tmp_path):
     got, expected = _sweep_and_expected_bytes(
-        tmp_path, family, points, NEAR_BOUNDARY, LARGE_TOL_PSD)
+        tmp_path, family, *NEAR_BOUNDARY[family], points, LARGE_TOL_PSD)
     assert got == expected
     if points == 600:  # every family's grid holds both kinds of row
         assert b",boundary\r\n" in got and b",false\r\n" in got
@@ -235,14 +240,15 @@ def test_gate_over_a_stack_matches_density_matrix():
         assert type(raised.value) is type(error) and str(raised.value) == str(error)
 
 
-def _peak(tmp_path, points):
-    """Traced peak of one ``pure_P`` sweep above the memory in use before it.
+def _peak(tmp_path, family, grids):
+    """Traced peak of one sweep above the memory in use before it.
 
     The cyclic collector is off during the sweep, so that a collection does
     not move the peak by freeing garbage made before the sweep.
     """
-    out = str(tmp_path / f"p{points}.csv")
-    argv = ["sweep", "--family", "pure_P", "--grid", f"alpha=0:1.5:{points}", "-o", out]
+    argv = ["sweep", "--family", family, "-o", str(tmp_path / "peak.csv")]
+    for grid in grids:
+        argv += ["--grid", grid]
     gc.collect()
     gc.disable()
     try:
@@ -255,11 +261,15 @@ def _peak(tmp_path, points):
 
 
 def test_memory_follows_chunk_not_grid(tmp_path, capsys):
-    tracemalloc.start()
-    try:
-        _peak(tmp_path, 20000)  # fill caches and free lists first
-        small = _peak(tmp_path, 2000)
-        large = _peak(tmp_path, 20000)
-    finally:
-        tracemalloc.stop()
-    assert abs(large - small) <= 64 * 1024, (small, large)
+    # one axis, then a long axis repeated over a short one: neither an axis
+    # nor the grid may hold memory beyond a chunk
+    for family, grids in (("pure_P", ["alpha=0:1.5:{}"]),
+                          ("isotropic_alpha", ["p=0:1:{}", "alpha=0:1.5:2"])):
+        tracemalloc.start()
+        try:
+            peaks = [_peak(tmp_path, family, [g.format(points) for g in grids])
+                     for points in (20000, 2000, 20000)]  # the first fills caches and free lists
+        finally:
+            tracemalloc.stop()
+        small, large = peaks[1:]
+        assert abs(large - small) <= 64 * 1024, (family, small, large)
