@@ -25,9 +25,8 @@ directions that move the eigenvalues, so the rank drops to
 is not derived.
 """
 
-import pytest
-
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
