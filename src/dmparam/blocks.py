@@ -57,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DmParamError, SingularAngleError
-from .linalg import DEFAULT_TOL, Tolerances, _chain, _require_unitary
+from .linalg import DEFAULT_TOL, Tolerances, _chain, _level_factors, _require_unitary
 from .single import _check_simplex
 from .states import DensityMatrix
 
@@ -126,6 +126,14 @@ def _level_svd(levels):
         Z[l, : k[l]] = T
     Q, sigma, Rh = np.linalg.svd(Z.reshape(L, K * m, m), full_matrices=False)
     return Q, Rh.conj().swapaxes(-1, -2), np.cos(sigma) - 1.0, np.sin(sigma)
+
+
+def _level_columns(T):
+    """The last ``m`` columns of ``A_j`` for one validated level stack ``T``
+    of ``j - 1`` blocks: the level's new columns, taken from its factors with
+    no other column formed."""
+    *_, B = next(_level_factors(*_level_svd((T,)), len(T)))
+    return B
 
 
 def _product(d, levels):

@@ -205,6 +205,13 @@ def _axis_values(lo, hi, count, idx):
     return np.where(idx == div, hi, y + lo)
 
 
+def _axis_texts(lo, hi, count):
+    """``%.17g`` text of each value of an axis, keyed by the value's bits
+    (so ``-0.0`` is not ``0.0``)."""
+    x = _axis_values(lo, hi, count, np.arange(count))
+    return dict(zip(x.view(np.int64).tolist(), ["%.17g" % v for v in x.tolist()]))
+
+
 def _raise_at(family, point_at, row, tol):
     family.build(*(point_at(row)[k] for k in family.params), tol)
     raise RuntimeError(f"sweep: grid row {row} fails a batched check but not its constructor")
@@ -302,8 +309,8 @@ def cmd_sweep(args, tol) -> int:
     # ``%`` format with 17 significant digits and csv's ``\r\n`` line ending.
     # An axis whose values repeat over the grid has each value formatted once;
     # one longer than a chunk is formatted per row, so memory follows the chunk.
-    texts = [["%.17g" % x for x in _axis_values(lo, hi, count, np.arange(count)).tolist()]
-             if count < total and count <= _SWEEP_CHUNK else None for _, lo, hi, count in axes]
+    texts = [_axis_texts(lo, hi, count) if count < total and count <= _SWEEP_CHUNK else None
+             for _, lo, hi, count in axes]
     header = names + ["min_pt_eig", "analytic_margin", "analytic_ppt", "numeric_ppt", "agreement"]
     template = "".join("%.17g," if t is None else "%s," for t in texts) + "%.17g,%.17g,%s\r\n"
     try:
@@ -320,8 +327,9 @@ def cmd_sweep(args, tol) -> int:
                 margin = np.broadcast_to(margin, rows.shape)
                 tail = (4 * (margin >= 0.0) + 2 * (min_pt >= -tol.tol_psd)
                         + (np.abs(margin) < BOUNDARY_BAND))
-                columns = [point[name].tolist() if t is None else map(t.__getitem__, i.tolist())
-                           for name, t, i in zip(names, texts, np.unravel_index(rows, counts))]
+                columns = [point[name].tolist() if t is None
+                           else map(t.__getitem__, point[name].view(np.int64).tolist())
+                           for name, t in zip(names, texts)]
                 cells = zip(*columns, min_pt.tolist(), margin.tolist(),
                             map(_SWEEP_TAILS.__getitem__, tail.tolist()))
                 fh.write((template * len(rows)) % tuple(itertools.chain.from_iterable(cells)))

@@ -25,11 +25,10 @@ from typing import Callable
 
 import numpy as np
 
-from .blocks import _as_blocks, _level_svd
+from .blocks import _as_blocks, _level_columns
 from .entanglement import _angle_ok, _check_angles, _circulant_margins
 from .errors import DmParamError
-from .linalg import (DEFAULT_TOL, TRACE_TOL, Tolerances, _level_factors, _require_psd,
-                     _require_unitary)
+from .linalg import DEFAULT_TOL, TRACE_TOL, Tolerances, _require_psd, _require_unitary
 from .single import _check_simplex, _on_simplex
 from .states import DensityMatrix
 
@@ -310,8 +309,7 @@ def class3_state(n: int, m: int, Zs, tol: Tolerances = DEFAULT_TOL) -> DensityMa
     if n < 2:
         raise DmParamError(f"class3_state: need n >= 2, got {n}")
     T, m = _as_blocks(Zs, m, "class3_state", n)
-    # W is the new columns of A_n's one level, so no other column is formed
-    *_, col = next(_level_factors(*_level_svd((T,)), n - 1))
+    col = _level_columns(T)
     rho = (col @ col.conj().T) / m
     rho = (rho + rho.conj().T) / 2.0
     return DensityMatrix(n, m, rho, tol)
