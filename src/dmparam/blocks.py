@@ -72,7 +72,7 @@ __all__ = [
     "assemble_rho_block",
 ]
 
-#: Largest Gram trace whose symmetrization ``G + G^dag`` stays finite.
+#: Largest Gram trace ``tr G`` accepted, so that ``sigma_max^2 <= tr G`` stays finite.
 _GRAM_MAX = np.finfo(float).max / 2.0
 
 
@@ -100,10 +100,11 @@ def _as_blocks(Zs, m=None, who="block vector", j=None):
     if not math.isfinite(big):
         k = int(np.argmin(np.isfinite(T).all(axis=(1, 2))))
         raise DmParamError(f"{who}: block {k} has non-finite entries")
-    # No entry of the Gram matrix G = sum_k Z_k^dag Z_k exceeds its trace,
-    # the sum of |z|^2 over all entries, so G and G + G^dag stay finite while
-    # the trace is at most _GRAM_MAX.  The trace is summed over entries
-    # scaled by the largest, and only when size * largest^2 could exceed it.
+    # normalize_blocks squares sigma_max, the largest singular value of the
+    # stacked blocks, and sigma_max^2 = ||G||_2 <= tr G, the sum of |z|^2 over
+    # all entries (G = sum_k Z_k^dag Z_k is never formed).  The trace is
+    # summed over entries scaled by the largest, and only when
+    # size * largest^2 could exceed _GRAM_MAX.
     if (big * big * x.size > _GRAM_MAX
             and float(np.sum(np.square(x / big))) > _GRAM_MAX / big / big):
         raise DmParamError(

@@ -35,7 +35,7 @@ import numpy as np
 from .blocks import BlockParams, assemble_rho_block
 from .entanglement import BOUNDARY_BAND, detect_structure, ppt_check, pt_spectrum
 from .errors import ConvergenceFailureError, DmParamError, NotPsdError, SingularAngleError
-from .families import FAMILIES, build_family
+from .families import FAMILIES, FamilySpec, build_family
 from .io import ParamFileError, fmt_float, load_param_file, read_matrix, write_matrix
 from .linalg import DEFAULT_TOL, TRACE_TOL, Tolerances
 from .single import SingleParams, assemble_rho_single
@@ -212,33 +212,29 @@ def _axis_texts(lo, hi, count):
     return dict(zip(x.view(np.int64).tolist(), ["%.17g" % v for v in x.tolist()]))
 
 
-def _raise_at(family, point_at, row, tol):
-    family.build(*(point_at(row)[k] for k in family.params), tol)
-    raise RuntimeError(f"sweep: grid row {row} fails a batched check but not its constructor")
-
-
-def _sweep_chunk(family, point_at, rows, tol):
+def _sweep_chunk(name, family, point_at, rows, tol):
     """Arguments and smallest partial-transpose eigenvalue at grid ``rows``.
 
     ``point_at(rows)`` maps the rows to the family's arguments, stacked (and
     one row to plain values).  The chunk is built with the family's array
-    formula, range-checked and gated as one stack.  At the first row in
-    order that fails, the family's constructor is called on that row alone
-    and raises what it raises for that point.
+    formula, range-checked and gated as one stack, the gate stopping short of
+    the first row out of range.  The first row in order that fails either
+    check goes alone to :func:`build_family`, which raises what the family's
+    constructor raises for that point.
     """
     point = point_at(rows)
     values = [point[k] for k in family.params]
+    first = len(rows)  # the first row out of range, if any
     if family.domain is not None:
         inside = np.broadcast_to(family.domain(*values), rows.shape)
         if not inside.all():
             first = int(np.argmin(inside))
-            if first:
-                _sweep_chunk(family, point_at, rows[:first], tol)
-            _raise_at(family, point_at, rows[first], tol)
     mats = family.mats(*values)
-    failure = check_states(mats, tol)
-    if failure is not None:
-        _raise_at(family, point_at, rows[failure[0]], tol)
+    failure = check_states(mats[:first], tol) if first else None
+    if failure is not None or first < len(rows):
+        row = rows[first if failure is None else failure[0]]
+        build_family(FamilySpec(name, point_at(row)), tol)
+        raise RuntimeError(f"sweep: grid row {row} fails a batched check but not its constructor")
     return point, pt_spectrum(mats, dims=(2, 2))[:, 0]
 
 
@@ -322,7 +318,7 @@ def cmd_sweep(args, tol) -> int:
             fh.write(",".join(header) + "\r\n")
             for start in range(0, total, _SWEEP_CHUNK):
                 rows = np.arange(start, min(start + _SWEEP_CHUNK, total))
-                point, min_pt = _sweep_chunk(family, point_at, rows, tol)
+                point, min_pt = _sweep_chunk(args.family, family, point_at, rows, tol)
                 margin = family.margin(*(point[k] for k in family.params))
                 margin = np.broadcast_to(margin, rows.shape)
                 tail = (4 * (margin >= 0.0) + 2 * (min_pt >= -tol.tol_psd)
@@ -333,10 +329,8 @@ def cmd_sweep(args, tol) -> int:
                 cells = zip(*columns, min_pt.tolist(), margin.tolist(),
                             map(_SWEEP_TAILS.__getitem__, tail.tolist()))
                 fh.write((template * len(rows)) % tuple(itertools.chain.from_iterable(cells)))
-    except BaseException as exc:
+    except BaseException:
         os.remove(args.output)  # leave no truncated CSV behind
-        if isinstance(exc, DmParamError):  # named as ``build_family`` names it
-            exc.args = (f"family {args.family!r}: {exc}",)
         raise
     print(f"wrote {total} rows to {args.output}")
     return EXIT_OK

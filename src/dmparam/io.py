@@ -22,6 +22,7 @@ would, or as ``matrix_text``, 17-digit ``re+imj`` tokens a row per line.  Both r
 
 from __future__ import annotations
 
+import functools
 import json
 
 import numpy as np
@@ -85,8 +86,10 @@ def _to_list(obj, field):
     return obj
 
 
-def _to_reals(obj, field):
-    return [_to_real(v, f"{field}[{k}]") for k, v in enumerate(_to_list(obj, field))]
+def _list_of(parse):
+    """A parser of a list whose entry ``k`` ``parse`` reads as ``field[k]``."""
+    return lambda obj, field: [parse(v, f"{field}[{k}]")
+                               for k, v in enumerate(_to_list(obj, field))]
 
 
 def _to_vector(obj, field):
@@ -115,17 +118,25 @@ def _to_matrix(obj, field):
     return np.array(rows, dtype=complex)
 
 
-def _to_matrices(obj, field):
-    return [_to_matrix(M, f"{field}[{k}]") for k, M in enumerate(_to_list(obj, field))]
-
-
-#: Parser of each family parameter type named in ``FAMILIES``.
-_FAMILY_FIELDS = {
+#: Parser of each field type named in ``FAMILIES`` and ``_PAYLOADS``.
+_FIELDS = {
     "int": _to_int,
     "real": _to_real,
-    "reals": _to_reals,
+    "reals": _list_of(_to_real),
     "matrix": _to_matrix,
-    "matrices": _to_matrices,
+    "matrices": _list_of(_to_matrix),
+    "lambdas": _to_lambdas,
+    "vectors": _list_of(_to_vector),
+    "blockvecs": _list_of(_list_of(_to_matrix)),
+}
+
+#: Field types of the ``single`` and ``block`` payloads, each with the
+#: constructor that takes the parsed fields as keywords.
+_PAYLOADS = {
+    "single": ({"lambdas": "lambdas", "zvecs": "vectors"},
+               lambda lambdas, zvecs: SingleParams(len(lambdas), lambdas, zvecs)),
+    "block": ({"n": "int", "m": "int", "lambdas": "lambdas", "local_unitaries": "matrices",
+               "blockvecs": "blockvecs"}, BlockParams),
 }
 
 
@@ -135,8 +146,19 @@ def _get(payload, key, kind):
     return payload[key]
 
 
+def _family_spec(name, **params):
+    try:
+        return FamilySpec(kind=name, params=params)
+    except ValueError as exc:
+        raise ParamFileError(str(exc)) from exc
+
+
 def load_param_file(path):
     """Parse a parameter file.
+
+    Each payload field is read by its type in ``_PAYLOADS`` or ``FAMILIES``,
+    in the table's order (a ``family`` payload's in the file's); any other
+    field is an error.
 
     Returns
     -------
@@ -159,48 +181,27 @@ def load_param_file(path):
     if not isinstance(payload, dict):
         raise ParamFileError("field 'payload': expected an object")
 
-    if kind == "single":
-        lambdas = _to_lambdas(_get(payload, "lambdas", kind), "lambdas")
-        zvecs = _to_list(_get(payload, "zvecs", kind), "zvecs")
-        zvecs = [_to_vector(z, f"zvecs[{i}]") for i, z in enumerate(zvecs)]
-        return SingleParams(n=len(lambdas), lambdas=lambdas, zvecs=tuple(zvecs))
-
-    if kind == "block":
-        n = _to_int(_get(payload, "n", kind), "n")
-        m = _to_int(_get(payload, "m", kind), "m")
-        lambdas = _to_lambdas(_get(payload, "lambdas", kind), "lambdas")
-        unitaries = _to_matrices(_get(payload, "local_unitaries", kind), "local_unitaries")
-        blockvecs = _to_list(_get(payload, "blockvecs", kind), "blockvecs")
-        return BlockParams(
-            n=n, m=m, lambdas=lambdas, local_unitaries=tuple(unitaries),
-            blockvecs=tuple(
-                tuple(_to_matrices(Zs, f"blockvecs[{i}]")) for i, Zs in enumerate(blockvecs)
-            ),
-        )
-
     if kind == "family":
         name = _get(payload, "family", kind)
         if not isinstance(name, str) or name not in FAMILIES:
             raise ParamFileError(
                 f"field 'family': unknown family {name!r}; known: {sorted(FAMILIES)}"
             )
-        types = FAMILIES[name].params
-        params = {}
-        for key, value in payload.items():
-            if key == "family":
-                continue
-            if key not in types:
-                raise ParamFileError(
-                    f"field {key!r}: not a parameter of family {name!r} "
-                    f"(expected {list(types)})"
-                )
-            params[key] = _FAMILY_FIELDS[types[key]](value, key)
-        try:
-            return FamilySpec(kind=name, params=params)
-        except ValueError as exc:
-            raise ParamFileError(str(exc)) from exc
-
-    raise ParamFileError(f"field 'kind': expected single|block|family, got {kind!r}")
+        types, what = FAMILIES[name].params, f"a parameter of family {name!r}"
+        make = functools.partial(_family_spec, name)
+        keys = [key for key in payload if key != "family"]
+    elif isinstance(kind, str) and kind in _PAYLOADS:
+        types, make = _PAYLOADS[kind]
+        what = f"a field of kind {kind!r}"
+        keys = dict.fromkeys([*types, *payload])  # the table's order, unknown fields last
+    else:
+        raise ParamFileError(f"field 'kind': expected single|block|family, got {kind!r}")
+    fields = {}
+    for key in keys:
+        if key not in types:
+            raise ParamFileError(f"field {key!r}: not {what} (expected {list(types)})")
+        fields[key] = _FIELDS[types[key]](_get(payload, key, kind), key)
+    return make(**fields)
 
 
 def _fmt_complex(z: complex) -> str:

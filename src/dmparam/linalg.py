@@ -228,16 +228,17 @@ def _chain(d, Q, R, cm1, sin):
     ``Q = z / ||z||`` and ``R = 1``.  A zero angle has zero ``K`` entries, so
     an all-zero level is the identity.
 
-    ``b = _levels_per_block(m)`` consecutive levels multiply to
+    Compact-WY serves the ``m = 1`` chains (single, and ``n x 1`` blocks):
+    ``b = _levels_per_block(1)`` consecutive levels multiply to
     ``I + Y T Y^dag``, with ``Y`` their ``Y`` side by side, their ``K`` on
     the block diagonal of ``K`` and ``T = (I - K L)^{-1} K``, where ``L`` is
     the part of ``Y^dag Y`` whose row belongs to a later level than its
     column.  ``I - K L`` is unit lower triangular in level order, so ``T``
-    exists at every angle; for one level ``T = K``.  Before a block the
-    product is the identity outside its top-left ``p x p`` corner ``P``, and
-    the block's ``R`` rows lie below ``p``: so it adds ``(Y T)_Q Q^dag P`` to
-    the first ``p`` columns, ``_Q`` keeping the ``Q`` columns, and writes its
-    own columns.
+    exists at every angle.  From ``m = 2`` on a block is one level, ``T = K``.
+    Before a block the product is the identity outside its top-left ``p x p``
+    corner ``P``, and the block's ``R`` rows lie below ``p``: so it adds
+    ``(Y T)_Q Q^dag P`` to the first ``p`` columns, ``_Q`` keeping the ``Q``
+    columns, and writes its own columns.
     """
     L, rows, m = Q.shape
     k0 = rows // m - L + 1
@@ -274,42 +275,40 @@ def _level_factors(Q, R, cm1, sin, k0):
 
 
 def _wy_factors(Q, R, cm1, sin, k0, b):
-    """``(p, Y_Q^dag, (Y T)_Q, I + Y T Y^dag)`` of every block of ``b``
-    levels (fewer in the last), ``Y`` ordered as every ``Q``, then every ``R``.
+    """``(p, Y_Q^dag, (Y T)_Q, I + Y T Y^dag)`` of every block of ``b`` rank-2
+    levels (``m = 1``; fewer in the last), ``Y`` ordered as every ``Q``, then every ``R``.
 
-    A level's ``R`` rows lie below the ``Q`` rows of every earlier level and
-    apart from the ``R`` rows of every other, so the ``R`` rows of ``L``
+    A level's ``R`` row lies below the ``Q`` rows of every earlier level and
+    apart from the ``R`` row of every other, so the ``R`` rows of ``L``
     vanish and ``K L = P L_Q``, with ``P = [cm1; -sin]`` and ``L_Q`` the
     ``Q`` rows.  So ``T = K + P X``, ``X = (I - L_Q P)^{-1} L_Q K``: a
     system of half the size, unit lower triangular in level order too."""
-    L, rows, m = Q.shape
-    bm = b * m
-    level = np.arange(bm) // m
-    later = np.greater.outer(level, level)[:, None, :]  # (row, side, column)
-    eye, i, j = np.eye(bm), np.arange(b), np.arange(bm)
-    cm1, sin = cm1.reshape(-1), sin.reshape(-1)
+    L, rows, _ = Q.shape
+    Q, R, cm1, sin = Q[..., 0], R[:, 0, 0], cm1[:, 0], sin[:, 0]
+    i, eye = np.arange(b), np.eye(b)
+    later = np.greater.outer(i, i)[:, None, :]  # (row, side, column)
     for lo in range(0, L, b):
         q = min(b, L - lo)
-        qm, p = q * m, (k0 + lo) * m
-        top = p + qm
-        Y = np.zeros((top, 2, q, m), dtype=complex)
-        Y[:rows, 0] = Q[lo : lo + q, :top].swapaxes(0, 1)
-        Y[p:].reshape(q, m, 2, q, m)[i[:q], :, 1, i[:q]] = R[lo : lo + q]
-        Y = Y.reshape(top, 2 * qm)
+        p, iq = k0 + lo, i[:q]
+        top = p + q
+        Y = np.zeros((top, 2, q), dtype=complex)
+        Y[:rows, 0] = Q[lo : lo + q, :top].T
+        Y[p + iq, 1, iq] = R[lo : lo + q]
+        Y = Y.reshape(top, 2 * q)
         Yh = Y.conj().T
-        LQ = ((Yh[:qm] @ Y).reshape(qm, 2, qm) * later[:qm, :, :qm]).reshape(qm, 2 * qm)
-        c, s, jq = cm1[lo * m : lo * m + qm], sin[lo * m : lo * m + qm], j[:qm]
-        K = np.zeros((2, qm, 2, qm))
-        K[0, jq, 0, jq] = K[1, jq, 1, jq] = c
-        K[0, jq, 1, jq] = s
-        K[1, jq, 0, jq] = -s
-        K = K.reshape(2 * qm, 2 * qm)
+        LQ = ((Yh[:q] @ Y).reshape(q, 2, q) * later[:q, :, :q]).reshape(q, 2 * q)
+        c, s = cm1[lo : lo + q], sin[lo : lo + q]
+        K = np.zeros((2, q, 2, q))
+        K[0, iq, 0, iq] = K[1, iq, 1, iq] = c
+        K[0, iq, 1, iq] = s
+        K[1, iq, 0, iq] = -s
+        K = K.reshape(2 * q, 2 * q)
         LK = LQ @ K
-        X = np.linalg.solve(eye[:qm, :qm] - LK[:, :qm], LK)
+        X = np.linalg.solve(eye[:q, :q] - LK[:, :q], LK)
         YT = Y @ (K + np.concatenate([c[:, None] * X, -s[:, None] * X]))
         B = YT @ Yh[:, p:]
-        B[p:] += eye[:qm, :qm]
-        yield p, Yh[:qm], YT[:, :qm], B
+        B[p:] += eye[:q, :q]
+        yield p, Yh[:q], YT[:, :q], B
 
 
 def haar_unitary(m: int, seed: int) -> np.ndarray:

@@ -81,7 +81,23 @@ CASES = {
     "n-string": (
         _doc("family", {"family": "class3", "n": "2", "m": 1, "Z": [[[0.5]]]}), "'n'"),
     "unknown-field": (_doc("family", {"family": "isotropic", "p": 0.2, "q": 1}), "'q'"),
+    "single-unknown-field": (
+        _doc("single", {"lambdas": [0.6, 0.4], "zvecs": [[0.3]], "zvec": [0.3]}),
+        "field 'zvec': not a field of kind 'single' (expected ['lambdas', 'zvecs'])"),
+    "block-unknown-field": (
+        _block(blockvecs=[[[[0.1, 0], [0, 0.2]]]], blockvec=[]),
+        "field 'blockvec': not a field of kind 'block' (expected ['n', 'm', 'lambdas', "
+        "'local_unitaries', 'blockvecs'])"),
+    # single and block fields are read in a fixed order, whatever the file's
+    "single-bad-before-missing": (_doc("single", {"lambdas": "x"}),
+                                  "field 'lambdas': expected a list"),
+    "single-fields-in-order": (_doc("single", {"zvecs": 3, "lambdas": "x"}),
+                               "field 'lambdas': expected a list"),
+    "block-fields-in-order": (
+        _doc("block", {"blockvecs": 3, "n": "x", "m": 1, "lambdas": [1], "local_unitaries": []}),
+        "field 'n': expected an integer"),
     "unknown-family": (_doc("family", {"family": "werner", "p": 0.2}), "'werner'"),
+    "kind-list": (_doc(["single"], {}), "field 'kind': expected single|block|family"),
     "sweep-missing-p": (_SWEEP_CIRCULANT, "'p'"),
     "sweep-missing-beta": (
         ["--family", "circulant", "--grid", "alpha=0:1:3", "--set", "p=0.1,0.2,0.3,0.4"],

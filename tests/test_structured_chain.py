@@ -418,3 +418,25 @@ def test_every_chain_runs_the_one_kernel(monkeypatch):
     calls.clear()
     class3_state(4, 2, Zs)
     assert not calls
+
+
+def test_compact_wy_sees_only_rank_2_levels(monkeypatch):
+    # from m = 2 on every level is its own kernel block, so the batched
+    # factors only ever see m = 1 levels
+    seen, original = [], linalg._wy_factors
+
+    def wrapped(Q, *args):
+        seen.append(Q.shape[-1])
+        return original(Q, *args)
+
+    monkeypatch.setattr(linalg, "_wy_factors", wrapped)
+    rng = np.random.default_rng(500)
+    for m in (1, 2, 3, 4):
+        for levels in range(2, 15):
+            seen.clear()
+            assemble_rho_block(rand_block_params(rng, levels + 1, m))
+            assert seen == ([1] if m == 1 else []), (m, levels)
+    for n in (3, 13, 30):
+        seen.clear()
+        assemble_rho_single(rand_single_params(rng, n))
+        assert seen == [1], n

@@ -204,6 +204,23 @@ def test_gate_failure_before_range_failure_wins(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def test_range_failure_before_gate_failure_wins(tmp_path, capsys, monkeypatch):
+    # Row 2 (p = 0.5) fails the range check; rows 5 to 8 (p >= 1.25) are not PSD.
+    def build(p, tol):
+        if p == 0.5:
+            raise DmParamError(f"p = {p!r} out of range")
+        return DensityMatrix(2, 2, _isotropic_mats(p), tol)
+
+    family = Family(build, {"p": "real"}, ("p",), lambda p: 0.0 * p,
+                    mats=_isotropic_mats, domain=lambda p: p != 0.5)
+    monkeypatch.setitem(FAMILIES, "test_family", family)
+    out = tmp_path / "s.csv"
+    argv = ["sweep", "--family", "test_family", "--grid", "p=0:2:9", "-o", str(out)]
+    assert main(argv) == 2
+    assert "input error: family 'test_family': p = 0.5 out of range" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _random_states(rng, shape, d):
     A = rng.standard_normal(shape + (d, d)) + 1j * rng.standard_normal(shape + (d, d))
     rho = A @ A.conj().swapaxes(-1, -2)
