@@ -216,11 +216,10 @@ def _sweep_chunk(name, family, point_at, rows, tol):
     """Arguments and smallest partial-transpose eigenvalue at grid ``rows``.
 
     ``point_at(rows)`` maps the rows to the family's arguments, stacked (and
-    one row to plain values).  The chunk is built with the family's array
-    formula, range-checked and gated as one stack, the gate stopping short of
-    the first row out of range.  The first row in order that fails either
-    check goes alone to :func:`build_family`, which raises what the family's
-    constructor raises for that point.
+    one row to plain values).  The chunk is range-checked as one stack; the
+    rows before its first row out of range are built with the family's array
+    formula and gated as one stack.  The first row in order that fails either
+    check goes alone to :func:`build_family`, which raises the constructor's error.
     """
     point = point_at(rows)
     values = [point[k] for k in family.params]
@@ -229,8 +228,10 @@ def _sweep_chunk(name, family, point_at, rows, tol):
         inside = np.broadcast_to(family.domain(*values), rows.shape)
         if not inside.all():
             first = int(np.argmin(inside))
-    mats = family.mats(*values)
-    failure = check_states(mats[:first], tol) if first else None
+            # only rows in range go through the array formula
+            values = [point_at(rows[:first])[k] for k in family.params] if first else None
+    mats = family.mats(*values) if first else None
+    failure = check_states(mats, tol) if first else None
     if failure is not None or first < len(rows):
         row = rows[first if failure is None else failure[0]]
         build_family(FamilySpec(name, point_at(row)), tol)

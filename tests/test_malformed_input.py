@@ -125,6 +125,8 @@ CASES = {
         ["--family", "isotropic_alpha", "--grid", "p=0:1:10000000000",
          "--grid", "alpha=0:1:10000000000"],
         "sweep: the grid has 100000000000000000000 points, more than"),
+    "sweep-set-reals-wrong-length": (
+        _SWEEP_CIRCULANT + ["--set", "p=0.5,0.5"], "expected 4 eigenvalues, got 2"),
     "sweep-set-reals-inf": (
         ["--family", "circulant", "--grid", "alpha=0:1:3", "--grid", "beta=0:1:3",
          "--set", "p=0.5,inf,0,0"], "bad --set 'p=0.5,inf,0,0'"),
