@@ -36,10 +36,10 @@ from .blocks import BlockParams, assemble_rho_block
 from .entanglement import BOUNDARY_BAND, detect_structure, ppt_check, pt_spectrum
 from .errors import ConvergenceFailureError, DmParamError, NotPsdError, SingularAngleError
 from .families import FAMILIES, FamilySpec, build_family
-from .io import ParamFileError, fmt_float, load_param_file, read_matrix, write_matrix
+from .io import fmt_float, load_param_file, read_matrix, write_matrix
 from .linalg import DEFAULT_TOL, TRACE_TOL, Tolerances
 from .single import SingleParams, assemble_rho_single
-from .states import DensityMatrix, check_states
+from .states import check_states
 from .validate import EXAMPLES, run_validation, serialize_counterexample
 
 __all__ = ["main"]
@@ -112,10 +112,10 @@ def cmd_analyze(args, tol) -> int:
         f"rank          {np.count_nonzero(eigs > tol.tol_psd)}",
         f"ppt           {'true' if ppt.is_ppt else 'false'}",
         f"min_pt_eig    {fmt_float(ppt.min_pt_eig)}",
-        f"pt_subsystem  {ppt.subsystem}",
+        "pt_subsystem  second",
     ]
     if not problems and n == 2:
-        structure = detect_structure(DensityMatrix._of(n, m, sym, eigs))
+        structure = detect_structure(sym, dims=(n, m))
         report.append(f"structure     {structure}")
     print("state report")
     for line in report:
@@ -130,7 +130,7 @@ def cmd_analyze(args, tol) -> int:
 
 def cmd_reproduce(args, tol) -> int:
     if args.seed < 0:
-        raise ParamFileError(f"seed must be >= 0, got {args.seed}")
+        raise DmParamError(f"seed must be >= 0, got {args.seed}")
     failed = []
     for name in EXAMPLES if args.example == "all" else (args.example,):
         title, rows = EXAMPLES[name]
@@ -166,13 +166,13 @@ def _parse_grid(spec):
         lo, hi, count = rest.split(":")
         lo, hi, count = float(lo), float(hi), int(count)
     except ValueError as exc:
-        raise ParamFileError(f"bad grid spec {spec!r}: expected name=lo:hi:count") from exc
+        raise DmParamError(f"bad grid spec {spec!r}: expected name=lo:hi:count") from exc
     if count < 1:
-        raise ParamFileError(f"bad grid spec {spec!r}: count must be >= 1")
+        raise DmParamError(f"bad grid spec {spec!r}: count must be >= 1")
     if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ParamFileError(f"bad grid spec {spec!r}: bounds must be finite")
+        raise DmParamError(f"bad grid spec {spec!r}: bounds must be finite")
     if not math.isfinite(hi - lo):
-        raise ParamFileError(f"bad grid spec {spec!r}: hi - lo overflows")
+        raise DmParamError(f"bad grid spec {spec!r}: hi - lo overflows")
     return name, lo, hi, count
 
 
@@ -186,9 +186,9 @@ def _parse_fixed(items, family):
             reals = family.params.get(key) == "reals"
             value = [float(v) for v in value.split(",")] if reals else float(value)
         except ValueError as exc:
-            raise ParamFileError(f"bad --set {item!r}: expected key=number(s)") from exc
+            raise DmParamError(f"bad --set {item!r}: expected key=number(s)") from exc
         if not np.all(np.isfinite(value)):
-            raise ParamFileError(f"bad --set {item!r}: values must be finite")
+            raise DmParamError(f"bad --set {item!r}: values must be finite")
         fixed.append((key, value))
     return fixed
 
@@ -257,22 +257,22 @@ def cmd_sweep(args, tol) -> int:
     given = names + [key for key, _ in fixed]
     twice = sorted({k for k in given if given.count(k) > 1})
     if twice:
-        raise ParamFileError(f"sweep: {twice[0]!r} is given more than once by --grid/--set")
+        raise DmParamError(f"sweep: {twice[0]!r} is given more than once by --grid/--set")
     fixed = dict(fixed)
     for name in names:
         if name not in family.axes:
-            raise ParamFileError(
+            raise DmParamError(
                 f"axis {name!r} is not a parameter of {args.family!r}; "
                 f"expected one of {family.axes}"
             )
     settable = set(family.axes) | (set(family.params) - set(family.derive))
     unknown = sorted(set(fixed) - settable)
     if unknown:
-        raise ParamFileError(f"--set {unknown}: {args.family!r} takes only {sorted(settable)}")
+        raise DmParamError(f"--set {unknown}: {args.family!r} takes only {sorted(settable)}")
     have = set(given) | set(family.derive)
     missing = [k for k in family.params if k not in have]
     if missing:
-        raise ParamFileError(f"sweep {args.family!r}: parameters {missing} need --grid or --set")
+        raise DmParamError(f"sweep {args.family!r}: parameters {missing} need --grid or --set")
     # Families sum their weights (a ``reals`` parameter's entries, or the axes
     # ``derive`` turns into one) at every point; those sums, a derived weight
     # included, stay below twice their largest magnitudes plus one.
@@ -282,7 +282,7 @@ def cmd_sweep(args, tol) -> int:
     for name in (k for k in given if family.params.get(k, "reals") == "reals"):
         reach += largest[name]
         if not math.isfinite(2.0 * reach + 1.0):
-            raise ParamFileError(
+            raise DmParamError(
                 f"sweep {args.family!r}: {name!r} is too large: the weights' sums overflow")
 
     counts = [count for *_, count in axes]
@@ -300,7 +300,7 @@ def cmd_sweep(args, tol) -> int:
 
     total, most = math.prod(counts), np.iinfo(np.intp).max
     if total > most:
-        raise ParamFileError(f"sweep: the grid has {total} points, more than {most}")
+        raise DmParamError(f"sweep: the grid has {total} points, more than {most}")
     # Axis names are parameter names and the other cells are numbers or
     # true/false/boundary, so no cell needs CSV quoting: each chunk is one
     # ``%`` format with 17 significant digits and csv's ``\r\n`` line ending.
@@ -313,7 +313,7 @@ def cmd_sweep(args, tol) -> int:
     try:
         fh = open(args.output, "w", newline="", encoding="utf-8")
     except OSError as exc:
-        raise ParamFileError(f"cannot write {args.output}: {exc}") from exc
+        raise DmParamError(f"cannot write {args.output}: {exc}") from exc
     try:
         with fh:
             fh.write(",".join(header) + "\r\n")
@@ -410,7 +410,7 @@ def main(argv=None) -> int:
     except (NotPsdError, SingularAngleError, ConvergenceFailureError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as exc:  # DmParamError and ParamFileError among them
+    except ValueError as exc:  # DmParamError among them
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -44,7 +44,7 @@ def _unpack(rho, dims):
         return rho.mat, rho.n, rho.m
     mat = np.asarray(rho, dtype=complex)
     if dims is None:
-        raise DmParamError("plain matrices need explicit dims=(n, m) for a partial transpose")
+        raise DmParamError("plain matrices need explicit dims=(n, m)")
     n, m = dims
     if mat.shape[-2:] != (n * m, n * m) or min(n, m) < 1:
         raise DmParamError(f"matrix of shape {mat.shape} does not match dims {dims}")
@@ -81,13 +81,14 @@ def partial_transpose(rho, subsystem: str = "second", dims=None) -> np.ndarray:
     return np.ascontiguousarray(R).reshape(mat.shape)
 
 
-def pt_spectrum(rho, subsystem: str = "second", dims=None) -> np.ndarray:
+def pt_spectrum(rho, dims=None) -> np.ndarray:
     """Ascending eigenvalues of the symmetrized partial transpose.
 
     Accepts the same inputs as :func:`partial_transpose`, stacks included;
-    one ``eigvalsh`` covers the whole stack.
+    one ``eigvalsh`` covers the whole stack.  Both partial transposes share
+    this spectrum, so the second factor's is taken.
     """
-    pt = partial_transpose(rho, subsystem, dims)
+    pt = partial_transpose(rho, dims=dims)
     return np.linalg.eigvalsh((pt + pt.conj().swapaxes(-1, -2)) / 2.0)
 
 
@@ -97,19 +98,16 @@ class PptReport:
 
     is_ppt: bool
     min_pt_eig: float
-    subsystem: str
 
 
-def ppt_check(
-    rho, tol: Tolerances = DEFAULT_TOL, subsystem: str = "second", dims=None
-) -> PptReport:
+def ppt_check(rho, tol: Tolerances = DEFAULT_TOL, dims=None) -> PptReport:
     """Peres test: smallest eigenvalue of the partial transpose.
 
     Boundary states (minimal eigenvalue in ``[-tol.tol_psd, 0]``) resolve to
     ``is_ppt = True``, reproducing closed separability boundaries.
     """
-    min_eig = float(pt_spectrum(rho, subsystem, dims)[0])
-    return PptReport(is_ppt=min_eig >= -tol.tol_psd, min_pt_eig=min_eig, subsystem=subsystem)
+    min_eig = float(pt_spectrum(rho, dims)[0])
+    return PptReport(is_ppt=min_eig >= -tol.tol_psd, min_pt_eig=min_eig)
 
 
 def _angle_ok(x):
@@ -172,8 +170,11 @@ def circulant_conditions(p, alpha: float, beta: float) -> bool:
     return m1 >= 0.0 and m2 >= 0.0
 
 
-def detect_structure(rho: DensityMatrix) -> str:
+def detect_structure(rho, dims=None) -> str:
     """Classify a 2 (x) m state by its block pattern.
+
+    Takes a :class:`DensityMatrix`, or one plain matrix with
+    ``dims=(2, m)`` as :func:`ppt_check` does; a stack is an input error.
 
     Returns one of ``"block_diagonal"``, ``"block_toeplitz"``,
     ``"block_hankel"`` or ``"none"``, in that precedence order:
@@ -185,12 +186,11 @@ def detect_structure(rho: DensityMatrix) -> str:
 
     Block comparisons use the relative Frobenius tolerance ``STRUCTURE_TOL``.
     """
-    if not isinstance(rho, DensityMatrix):
-        raise DmParamError("detect_structure needs a DensityMatrix")
-    if rho.n != 2:
-        raise DmParamError(f"structure detection is defined for n = 2, got n = {rho.n}")
-    m = rho.m
-    mat = rho.mat
+    mat, n, m = _unpack(rho, dims)
+    if mat.ndim != 2:
+        raise DmParamError(f"detect_structure takes one matrix, got shape {mat.shape}")
+    if n != 2:
+        raise DmParamError(f"structure detection is defined for n = 2, got n = {n}")
     B11 = mat[:m, :m]
     B12 = mat[:m, m:]
     B21 = mat[m:, :m]

@@ -22,18 +22,17 @@ would, or as ``matrix_text``, 17-digit ``re+imj`` tokens a row per line.  Both r
 
 from __future__ import annotations
 
-import functools
 import json
 
 import numpy as np
 
 from .blocks import BlockParams
+from .errors import DmParamError
 from .families import FAMILIES, FamilySpec
 from .single import SingleParams
 
 __all__ = [
     "SCHEMA_VERSION",
-    "ParamFileError",
     "load_param_file",
     "read_matrix",
     "write_matrix",
@@ -41,10 +40,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = "1"
-
-
-class ParamFileError(ValueError):
-    """Malformed parameter or matrix file; the message names the field."""
 
 
 def fmt_float(x: float) -> str:
@@ -61,28 +56,28 @@ def _to_complex(obj, field):
         ):
             return complex(obj[0], obj[1])
     except OverflowError:  # JSON integers have no size limit
-        raise ParamFileError(f"field {field!r}: number out of float range") from None
-    raise ParamFileError(f"field {field!r}: expected a number or [re, im] pair")
+        raise DmParamError(f"field {field!r}: number out of float range") from None
+    raise DmParamError(f"field {field!r}: expected a number or [re, im] pair")
 
 
 def _to_int(obj, field):
     if isinstance(obj, bool) or not isinstance(obj, int):
-        raise ParamFileError(f"field {field!r}: expected an integer")
+        raise DmParamError(f"field {field!r}: expected an integer")
     return obj
 
 
 def _to_real(obj, field):
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
-        raise ParamFileError(f"field {field!r}: expected a real number")
+        raise DmParamError(f"field {field!r}: expected a real number")
     try:
         return float(obj)
     except OverflowError:  # JSON integers have no size limit
-        raise ParamFileError(f"field {field!r}: number out of float range") from None
+        raise DmParamError(f"field {field!r}: number out of float range") from None
 
 
 def _to_list(obj, field):
     if not isinstance(obj, list):
-        raise ParamFileError(f"field {field!r}: expected a list")
+        raise DmParamError(f"field {field!r}: expected a list")
     return obj
 
 
@@ -102,7 +97,7 @@ def _to_lambdas(obj, field):
     complex_at = np.flatnonzero(vec.imag != 0.0)
     if complex_at.size:
         k = int(complex_at[0])
-        raise ParamFileError(
+        raise DmParamError(
             f"field {field!r}: entry {k} has imaginary part {float(vec.imag[k])!r}; "
             "eigenvalues are real")
     return vec.real
@@ -110,11 +105,11 @@ def _to_lambdas(obj, field):
 
 def _to_matrix(obj, field):
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
-        raise ParamFileError(f"field {field!r}: expected a nested array (matrix)")
+        raise DmParamError(f"field {field!r}: expected a nested array (matrix)")
     rows = [[_to_complex(v, field) for v in row] for row in obj]
     width = len(rows[0])
     if any(len(r) != width for r in rows):
-        raise ParamFileError(f"field {field!r}: ragged matrix rows")
+        raise DmParamError(f"field {field!r}: ragged matrix rows")
     return np.array(rows, dtype=complex)
 
 
@@ -142,15 +137,8 @@ _PAYLOADS = {
 
 def _get(payload, key, kind):
     if key not in payload:
-        raise ParamFileError(f"kind {kind!r}: missing field {key!r}")
+        raise DmParamError(f"kind {kind!r}: missing field {key!r}")
     return payload[key]
-
-
-def _family_spec(name, **params):
-    try:
-        return FamilySpec(kind=name, params=params)
-    except ValueError as exc:
-        raise ParamFileError(str(exc)) from exc
 
 
 def load_param_file(path):
@@ -168,38 +156,38 @@ def load_param_file(path):
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ParamFileError(f"cannot parse {path}: {exc}") from exc
+        raise DmParamError(f"cannot parse {path}: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ParamFileError("top level: expected an object")
+        raise DmParamError("top level: expected an object")
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
-        raise ParamFileError(
+        raise DmParamError(
             f"field 'schema_version': expected {SCHEMA_VERSION!r}, got {version!r}"
         )
     kind = doc.get("kind")
     payload = doc.get("payload")
     if not isinstance(payload, dict):
-        raise ParamFileError("field 'payload': expected an object")
+        raise DmParamError("field 'payload': expected an object")
 
     if kind == "family":
         name = _get(payload, "family", kind)
         if not isinstance(name, str) or name not in FAMILIES:
-            raise ParamFileError(
+            raise DmParamError(
                 f"field 'family': unknown family {name!r}; known: {sorted(FAMILIES)}"
             )
         types, what = FAMILIES[name].params, f"a parameter of family {name!r}"
-        make = functools.partial(_family_spec, name)
+        make = lambda **params: FamilySpec(name, params)
         keys = [key for key in payload if key != "family"]
     elif isinstance(kind, str) and kind in _PAYLOADS:
         types, make = _PAYLOADS[kind]
         what = f"a field of kind {kind!r}"
         keys = dict.fromkeys([*types, *payload])  # the table's order, unknown fields last
     else:
-        raise ParamFileError(f"field 'kind': expected single|block|family, got {kind!r}")
+        raise DmParamError(f"field 'kind': expected single|block|family, got {kind!r}")
     fields = {}
     for key in keys:
         if key not in types:
-            raise ParamFileError(f"field {key!r}: not {what} (expected {list(types)})")
+            raise DmParamError(f"field {key!r}: not {what} (expected {list(types)})")
         fields[key] = _FIELDS[types[key]](_get(payload, key, kind), key)
     return make(**fields)
 
@@ -226,12 +214,12 @@ def write_matrix(path, mat, fmt: str = "json", n=None, m=None):
     elif fmt == "matrix_text":
         text = "\n".join([" ".join([_fmt_complex(z) for z in row]) for row in rows])
     else:
-        raise ParamFileError(f"unknown output format {fmt!r}")
+        raise DmParamError(f"unknown output format {fmt!r}")
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     except OSError as exc:
-        raise ParamFileError(f"cannot write {path}: {exc}") from exc
+        raise DmParamError(f"cannot write {path}: {exc}") from exc
 
 
 def read_matrix(path):
@@ -246,13 +234,13 @@ def read_matrix(path):
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise ParamFileError(f"cannot read {path}: {exc}") from exc
+        raise DmParamError(f"cannot read {path}: {exc}") from exc
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
-            raise ParamFileError(f"cannot parse {path}: {exc}") from exc
+            raise DmParamError(f"cannot parse {path}: {exc}") from exc
         mat = _to_matrix(doc.get("matrix"), "matrix")
         n, m = (None if doc.get(k) is None else _to_int(doc[k], k) for k in ("n", "m"))
         return mat, n, m
@@ -264,7 +252,7 @@ def read_matrix(path):
         try:
             rows.append([complex(tok) for tok in line.split()])
         except ValueError as exc:
-            raise ParamFileError(f"bad matrix_text token in {path}: {exc}") from exc
+            raise DmParamError(f"bad matrix_text token in {path}: {exc}") from exc
     if not rows or any(len(r) != len(rows[0]) for r in rows):
-        raise ParamFileError(f"{path}: empty or ragged matrix_text")
+        raise DmParamError(f"{path}: empty or ragged matrix_text")
     return np.array(rows, dtype=complex), None, None

@@ -62,8 +62,10 @@ def check_states(mats, tol: Tolerances = DEFAULT_TOL):
     that rounding error of ``-tol_psd``, where ``eigvalsh``'s own rounding
     decides as much.  For a ``tol_psd`` below ``_CHOLESKY_MARGIN * d * eps``
     that band would be more than a thousandth of ``tol_psd``, so there the
-    eigenvalues decide alone.  A matrix that fails before the PSD check is
-    replaced by zeros for both.
+    eigenvalues decide alone.  Each matrix of a stack gets the verdict it
+    gets alone: where the factorization is trusted, a matrix that the
+    eigenvalues flag but that factors by itself passes.  A matrix that fails
+    before the PSD check is replaced by zeros for both.
     """
     finite = np.logical_and.reduce(np.isfinite(mats), axis=(-2, -1))
     if np.count_nonzero(finite) < finite.size:
@@ -80,9 +82,18 @@ def check_states(mats, tol: Tolerances = DEFAULT_TOL):
         mats = np.where(failed[..., None, None], 0.0, mats)
     d = mats.shape[-1]
     trusted = tol.tol_psd >= _CHOLESKY_MARGIN * d * _EPS
-    if not (trusted and _factors(mats + tol.tol_psd * np.eye(d))):
+    shifted = mats + tol.tol_psd * np.eye(d) if trusted else None
+    if not (trusted and _factors(shifted)):
         w = np.linalg.eigvalsh(mats)
-        failed |= w[..., 0] < -tol.tol_psd
+        flagged = w[..., 0] < -tol.tol_psd
+        if trusted and flagged.size > 1:
+            # each matrix gets its verdict alone: up to the first flagged one
+            # that does not factor by itself, a flagged matrix passes
+            for i in map(tuple, np.argwhere(flagged)):
+                if not _factors(shifted[i]):
+                    break
+                flagged[i] = False
+        failed |= flagged
     if not np.count_nonzero(failed):
         return None
     i = np.unravel_index(np.argmax(failed), failed.shape)
@@ -139,17 +150,6 @@ class DensityMatrix:
         self.m = m
         self.mat = mat
         self._eigenvalues = None
-
-    @classmethod
-    def _of(cls, n, m, mat, eigenvalues):
-        """The state ``mat``, which the caller knows to pass
-        :func:`check_states`, with ascending ``eigenvalues``; neither array
-        is copied or checked again."""
-        rho = object.__new__(cls)
-        mat.flags.writeable = False
-        eigenvalues.flags.writeable = False
-        rho.n, rho.m, rho.mat, rho._eigenvalues = n, m, mat, eigenvalues
-        return rho
 
     @property
     def eigenvalues(self):

@@ -172,6 +172,15 @@ class TestDetectStructure:
     def test_generic_state_is_none(self):
         assert detect_structure(isotropic(0.9)) == "none"
 
+    def test_plain_matrix_with_dims(self):
+        rho = isotropic(0.9)
+        assert detect_structure(np.array(rho.mat), dims=(2, 2)) == "none"
+        assert detect_structure(np.diag([0.3, 0.2, 0.4, 0.1]), dims=(2, 2)) == "block_diagonal"
+
+    def test_rejects_a_stack(self):
+        with pytest.raises(DmParamError, match=r"^detect_structure takes one matrix"):
+            detect_structure(np.stack([np.eye(4) / 4.0] * 2), dims=(2, 2))
+
     def test_rejects_n3(self):
         rng = np.random.default_rng(7)
         rho = assemble_rho_block(rand_block_params(rng, 3, 2))

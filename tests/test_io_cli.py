@@ -7,12 +7,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 import dmparam.validate
-from dmparam import BlockParams, FamilySpec, SingleParams, isotropic
+from dmparam import BlockParams, FamilySpec, SingleParams, assemble_rho_single, isotropic
 from dmparam.cli import main
 from dmparam.errors import DmParamError, NotPsdError
 from dmparam.validate import EXAMPLES, run_validation
 from dmparam.io import (
-    ParamFileError,
     load_param_file,
     read_matrix,
     write_matrix,
@@ -110,12 +109,12 @@ class TestParamFiles:
 
     def test_bad_schema_version(self, tmp_path):
         doc = {"schema_version": "9", "kind": "family", "payload": {"family": "isotropic", "p": 0}}
-        with pytest.raises(ParamFileError, match="schema_version"):
+        with pytest.raises(DmParamError, match="schema_version"):
             load_param_file(_write(tmp_path, "x.json", doc))
 
     def test_unknown_kind(self, tmp_path):
         doc = {"schema_version": "1", "kind": "mystery", "payload": {}}
-        with pytest.raises(ParamFileError, match="kind"):
+        with pytest.raises(DmParamError, match="kind"):
             load_param_file(_write(tmp_path, "x.json", doc))
 
     def test_names_offending_field(self, tmp_path):
@@ -124,7 +123,7 @@ class TestParamFiles:
             "kind": "single",
             "payload": {"lambdas": [0.6, "oops"], "zvecs": [[[0, 0]]]},
         }
-        with pytest.raises(ParamFileError, match="lambdas"):
+        with pytest.raises(DmParamError, match="lambdas"):
             load_param_file(_write(tmp_path, "x.json", doc))
 
 
@@ -160,6 +159,25 @@ class TestCliGenerate:
         mat, n, m = read_matrix(out)
         assert (n, m) == (2, 2)
         assert_allclose(np.diag(mat).real, [0.3, 0.2, 0.2, 0.3])
+
+    @pytest.mark.parametrize("fmt", ["json", "matrix_text"])
+    def test_single_file(self, fmt, tmp_path, capsys):
+        lambdas = [0.5, 0.3, 0.2]
+        src = _write(
+            tmp_path, "s.json",
+            {"schema_version": "1", "kind": "single",
+             "payload": {"lambdas": lambdas,
+                         "zvecs": [[[0.3, 0.1]], [[0.2, 0], [0.1, -0.2]]]}},
+        )
+        out, ref = tmp_path / "rho", tmp_path / "ref"
+        assert main(["generate", src, "-o", str(out), "--format", fmt]) == 0
+        assert capsys.readouterr().out == f"wrote 3x3 state (n=3, m=1) to {out}\n"
+        write_matrix(ref, assemble_rho_single(load_param_file(src)).mat, fmt, 3, 1)
+        assert out.read_bytes() == ref.read_bytes()
+        dims = [] if fmt == "json" else ["--n", "3", "--m", "1"]
+        assert main(["analyze", str(out), *dims]) == 0
+        (line,) = [t for t in capsys.readouterr().out.splitlines() if "eigenvalues" in t]
+        assert_allclose([float(w) for w in line.split()[1:]], sorted(lambdas), atol=1e-14)
 
     def test_block_zero_vectors_diagonal(self, tmp_path):
         eye = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
@@ -251,6 +269,12 @@ class TestCliAnalyze:
         write_matrix(path, np.diag([1.5, -0.5]), "json", n=2, m=1)
         assert main(["analyze", str(path)]) == 4
         assert "not a state" in capsys.readouterr().out
+
+    def test_non_hermitian_exits_4(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        write_matrix(path, [[0.5, 0.1], [0.0, 0.5]], "json", n=2, m=1)
+        assert main(["analyze", str(path)]) == 4
+        assert "  - hermiticity deviation 1.414e-01\n" in capsys.readouterr().out
 
     def test_missing_dims_exits_2(self, tmp_path):
         path = tmp_path / "m.txt"
@@ -420,6 +444,10 @@ class TestCliSweep:
             p = float(row["p"])
             margin = min((1.0 - 3.0 * p) / 4.0, (1.0 + p) / 4.0)
             assert float(row["analytic_margin"]) == margin  # exact round trip
+
+    def test_missing_output_exits_2(self, capsys):
+        assert main(["sweep", "--family", "isotropic", "--grid", "p=0:1:3"]) == 2
+        assert capsys.readouterr().err == "sweep: --output is required\n"
 
     def test_bad_grid_exits_2(self, tmp_path):
         assert main(["sweep", "--family", "isotropic", "--grid", "p=0:1",

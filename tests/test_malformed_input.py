@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from dmparam.cli import main
-from dmparam.io import ParamFileError, read_matrix, write_matrix
+from dmparam.errors import DmParamError
+from dmparam.io import read_matrix, write_matrix
 
 
 def _doc(kind, payload):
@@ -26,8 +27,22 @@ _SWEEP_CIRCULANT = ["--family", "circulant", "--grid", "alpha=0:1:3", "--grid", 
 #: A JSON integer past the largest double.
 HUGE = 10**400
 
-# (parameter document, matrix document or sweep argv, text stderr must contain)
+# (parameter document, matrix document, a matrix file's raw text or sweep
+# argv, text stderr must contain)
 CASES = {
+    "top-level-array": ([_doc("single", {"lambdas": [1.0], "zvecs": []})],
+                        "top level: expected an object"),
+    "ragged-matrix": ({"schema_version": "1", "n": 2, "m": 1, "matrix": [[0.5, 0], [0.5]]},
+                      "field 'matrix': ragged matrix rows"),
+    "matrix-shape-not-dims": (
+        {"schema_version": "1", "n": 2, "m": 2, "matrix": [[0.5, 0], [0, 0.5]]},
+        "analyze: matrix shape (2, 2) does not match n*m = 4"),
+    "ragged-matrix-text": ("0.5+0j 0+0j\n0.5+0j\n", "empty or ragged matrix_text"),
+    "blank-matrix-text": ("\n  \n", "empty or ragged matrix_text"),
+    "bad-matrix-text-token": ("0.5+0j x\n0+0j 0.5+0j\n", "bad matrix_text token"),
+    "truncated-matrix-json": ('{"schema_version": "1", "matrix": [[', "cannot parse"),
+    "sweep-grid-count-0": (["--family", "isotropic", "--grid", "p=0:1:0"],
+                           "bad grid spec 'p=0:1:0': count must be >= 1"),
     "huge-family-p": (_doc("family", {"family": "isotropic", "p": HUGE}),
                       "field 'p': number out of float range"),
     "huge-circulant-p": (
@@ -200,13 +215,15 @@ def test_exit_code_and_whole_stderr(case, tmp_path, capsys):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_exits_2_and_names_field(case, tmp_path, capsys):
     doc, field = CASES[case]
-    out = tmp_path / "out"
-    if isinstance(doc, dict):
-        src = tmp_path / "params.json"
+    src, out = tmp_path / "input", tmp_path / "out"
+    if isinstance(doc, str):
+        src.write_text(doc)
+        argv = ["analyze", str(src)]
+    elif isinstance(doc, list) and all(isinstance(arg, str) for arg in doc):
+        argv = ["sweep", *doc, "-o", str(out)]
+    else:
         src.write_text(json.dumps(doc))
         argv = ["analyze", str(src)] if "matrix" in doc else ["generate", str(src), "-o", str(out)]
-    else:
-        argv = ["sweep", *doc, "-o", str(out)]
     assert main(argv) == 2
     assert field in capsys.readouterr().err
     assert not out.exists()
@@ -217,6 +234,20 @@ def test_failed_sweep_leaves_no_file(tmp_path, capsys):
     out = tmp_path / "s.csv"
     assert main(["sweep", "--family", "isotropic", "--grid", "p=0:2:7", "-o", str(out)]) == 2
     assert "outside" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_in_the_rounding_band_exits_3(tmp_path, capsys):
+    # Row 0's smallest eigenvalue lies within rounding of -tol_psd, where
+    # the Cholesky and eigvalsh verdicts can differ, and row 2 is not a state.
+    # Each row gets the verdict it gets alone, so the sweep reports a
+    # constructor's failure, on row 0 or row 1 depending on the LAPACK build.
+    out = tmp_path / "s.csv"
+    argv = ["sweep", "--family", "isotropic_alpha", "--grid", "p=1.0000000003999996:2:3",
+            "--set", "alpha=0.9735944466161087", "-o", str(out)]
+    assert main(argv) == 3
+    assert "numerical failure: family 'isotropic_alpha': state has eigenvalue" in (
+        capsys.readouterr().err)
     assert not out.exists()
 
 
@@ -236,6 +267,6 @@ def test_matrix_file_dims_must_be_integers(value, tmp_path):
     doc = json.loads(path.read_text())
     doc["n"] = value
     path.write_text(json.dumps(doc))
-    with pytest.raises(ParamFileError, match="'n'"):
+    with pytest.raises(DmParamError, match="'n'"):
         read_matrix(path)
     assert main(["analyze", str(path)]) == 2

@@ -10,6 +10,7 @@ import pytest
 
 from dmparam import DensityMatrix, DmParamError, NotPsdError, Tolerances
 from dmparam._random import rand_unitary
+from dmparam.families import _isotropic_alpha_mats
 from dmparam.states import check_states
 
 
@@ -148,3 +149,16 @@ def test_eigenvalues_are_solved_once_on_first_read(monkeypatch):
     rho.purity(), rho.rank(), repr(rho)
     assert rho.eigenvalues is w
     assert len(solved) == 1
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.9735944466161087, 1.2, 1.5])
+def test_each_matrix_of_a_stack_gets_its_verdict_alone(alpha):
+    # Smallest eigenvalues (1 - p) / 4 within 1.1e-13 of -tol_psd: here the
+    # Cholesky and eigvalsh verdicts can differ, and the clearly non-PSD
+    # last matrix makes the stack's factorization fail.
+    p = 1.0 + 4e-10 + np.arange(-2000, 2000) * np.spacing(1.0)
+    stack = _isotropic_alpha_mats(np.append(p, 2.0), alpha)
+    alone = [check_states(rho) is not None for rho in stack]
+    index, error = check_states(stack)
+    assert index == (alone.index(True),)
+    assert type(error) is NotPsdError

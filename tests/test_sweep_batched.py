@@ -231,11 +231,11 @@ def _random_states(rng, shape, d):
 def test_partial_transpose_over_a_stack_equals_each_matrix(subsystem):
     stack = _random_states(np.random.default_rng(3), (2, 3), 6)
     pt = partial_transpose(stack, subsystem, dims=(2, 3))
-    spectra = pt_spectrum(stack, subsystem, dims=(2, 3))
+    spectra = pt_spectrum(stack, dims=(2, 3))
     for i in np.ndindex(2, 3):
         assert np.array_equal(pt[i], partial_transpose(stack[i], subsystem, dims=(2, 3)))
         rho = DensityMatrix(2, 3, stack[i])
-        assert spectra[i][0] == ppt_check(rho, subsystem=subsystem).min_pt_eig
+        assert spectra[i][0] == ppt_check(rho).min_pt_eig
 
 
 def test_gate_over_a_stack_matches_density_matrix():
