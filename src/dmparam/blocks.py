@@ -59,7 +59,7 @@ import numpy as np
 from .errors import DmParamError, SingularAngleError
 from .linalg import DEFAULT_TOL, Tolerances, _chain, _level_factors, _require_unitary
 from .single import _check_simplex
-from .states import DensityMatrix
+from .states import DensityMatrix, _built_state
 
 __all__ = [
     "BlockParams",
@@ -310,6 +310,4 @@ def assemble_rho_block(p: BlockParams, tol: Tolerances = DEFAULT_TOL) -> Density
     U = _product(n * m, p.blockvecs) if p.blockvecs else np.eye(n * m, dtype=complex)
     # rho = U D U^dag without D: D = F diag(lambdas) F^dag, F = blockdiag(U_k)
     W = _frame(U, p.local_unitaries)
-    rho = (W * p.lambdas) @ W.conj().T
-    rho = (rho + rho.conj().T) / 2.0
-    return DensityMatrix(n, m, rho, tol)
+    return _built_state(n, m, (W * p.lambdas) @ W.conj().T, tol)

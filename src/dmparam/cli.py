@@ -37,7 +37,7 @@ from .entanglement import BOUNDARY_BAND, detect_structure, ppt_check, pt_spectru
 from .errors import ConvergenceFailureError, DmParamError, NotPsdError, SingularAngleError
 from .families import FAMILIES, FamilySpec, build_family
 from .io import fmt_float, load_param_file, read_matrix, write_matrix
-from .linalg import DEFAULT_TOL, TRACE_TOL, Tolerances
+from .linalg import DEFAULT_TOL, TRACE_TOL, Tolerances, _frobenius
 from .single import SingleParams, assemble_rho_single
 from .states import check_states
 from .validate import EXAMPLES, run_validation, serialize_counterexample
@@ -74,6 +74,8 @@ def cmd_analyze(args, tol) -> int:
     if n is None or m is None:
         print("analyze: dims unknown; pass --n and --m", file=sys.stderr)
         return EXIT_INPUT
+    if n < 1 or m < 1:
+        raise DmParamError(f"analyze: dims must be positive, got n={n}, m={m}")
     if mat.shape != (n * m, n * m):
         print(
             f"analyze: matrix shape {mat.shape} does not match n*m = {n * m}",
@@ -91,13 +93,12 @@ def cmd_analyze(args, tol) -> int:
         raise DmParamError(
             f"matrix entries too large to analyze: |entry| > {limit:.3e} at {where}")
 
-    herm_dev = float(np.linalg.norm(mat - mat.conj().T))
-    scale = max(float(np.linalg.norm(mat)), 1.0)
+    herm_dev = float(_frobenius(mat - mat.conj().T))
     trace_dev = abs(complex(np.trace(mat)) - 1.0)
     sym = (mat + mat.conj().T) / 2.0
     eigs = np.linalg.eigvalsh(sym)
     problems = []
-    if herm_dev > tol.tol_herm * scale:
+    if herm_dev > tol.tol_herm * max(float(_frobenius(mat)), 1.0):
         problems.append(f"hermiticity deviation {herm_dev:.3e}")
     if trace_dev > TRACE_TOL:
         problems.append(f"trace deviates from 1 by {trace_dev:.3e}")
@@ -112,7 +113,6 @@ def cmd_analyze(args, tol) -> int:
         f"rank          {np.count_nonzero(eigs > tol.tol_psd)}",
         f"ppt           {'true' if ppt.is_ppt else 'false'}",
         f"min_pt_eig    {fmt_float(ppt.min_pt_eig)}",
-        "pt_subsystem  second",
     ]
     if not problems and n == 2:
         structure = detect_structure(sym, dims=(n, m))

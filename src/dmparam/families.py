@@ -30,7 +30,7 @@ from .entanglement import _angle_ok, _check_angles, _circulant_margins
 from .errors import DmParamError
 from .linalg import DEFAULT_TOL, TRACE_TOL, Tolerances, _require_psd, _require_unitary
 from .single import _check_simplex, _on_simplex
-from .states import DensityMatrix
+from .states import DensityMatrix, _built_state
 
 __all__ = [
     "SIGMA_X",
@@ -73,7 +73,7 @@ def pure_P(alpha: float, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
     of its partial transpose is ``-sin(a) cos(a)``, so ``a = pi/4`` is the
     maximally entangled point.
     """
-    return DensityMatrix(2, 2, _pure_P_mats(alpha), tol)
+    return _built_state(2, 2, _pure_P_mats(alpha), tol)
 
 
 def _isotropic_in_range(p):
@@ -95,7 +95,7 @@ def isotropic(p: float, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
     """
     if not _isotropic_in_range(p):
         raise DmParamError(f"isotropic: p = {p!r} outside [-1/3, 1]")
-    return DensityMatrix(2, 2, _isotropic_mats(p), tol)
+    return _built_state(2, 2, _isotropic_mats(p), tol)
 
 
 def _isotropic_alpha_mats(p, alpha):
@@ -116,7 +116,7 @@ def isotropic_alpha(p: float, alpha: float, tol: Tolerances = DEFAULT_TOL) -> De
     Positivity is validated after construction; for ``p >= 0`` the state is
     PPT iff ``p <= sep_threshold(alpha)``.
     """
-    return DensityMatrix(2, 2, _isotropic_alpha_mats(p, alpha), tol)
+    return _built_state(2, 2, _isotropic_alpha_mats(p, alpha), tol)
 
 
 def sep_threshold(alpha: float) -> float:
@@ -163,7 +163,7 @@ def circulant_rho(p, alpha: float, beta: float, tol: Tolerances = DEFAULT_TOL) -
     """
     p = _check_simplex(p, 4, False, "circulant_rho")
     _check_angles(alpha, beta)
-    return DensityMatrix(2, 2, _circulant_mats(p, alpha, beta), tol)
+    return _built_state(2, 2, _circulant_mats(p, alpha, beta), tol)
 
 
 def _bell_diagonal_mats(p):
@@ -180,7 +180,7 @@ def _bell_diagonal_mats(p):
 def bell_diagonal(p, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
     """Mixture of the four Bell projectors with weights ``p``; PPT iff ``max p_k <= 1/2``."""
     p = _check_simplex(p, 4, False, "bell_diagonal")
-    return DensityMatrix(2, 2, _bell_diagonal_mats(p), tol)
+    return _built_state(2, 2, _bell_diagonal_mats(p), tol)
 
 
 def _two_by_m_blocks(U, L1, L2, C, S):
@@ -217,9 +217,7 @@ def two_by_m(U, L1, L2, Xi2, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
     if abs(tr - 1.0) > TRACE_TOL:
         raise DmParamError(f"two_by_m: Tr(L1 + L2) = {tr!r}, not 1")
     B11, B12, B21, B22 = _two_by_m_blocks(U, L1, L2, C, S)
-    rho = np.block([[B11, B12], [B21, B22]])
-    rho = (rho + rho.conj().T) / 2.0
-    return DensityMatrix(2, m, rho, tol)
+    return _built_state(2, m, np.block([[B11, B12], [B21, B22]]), tol)
 
 
 def _check_condition(name, residual):
@@ -255,9 +253,7 @@ def toeplitz_state(L, U, Xi2, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
     B = S @ L @ C - C @ L @ S
     _check_condition("U A U^dag = A", np.linalg.norm(U @ A @ U.conj().T - A))
     UB = U @ B
-    rho = np.block([[A, UB], [UB.conj().T, A]])
-    rho = (rho + rho.conj().T) / 2.0
-    return DensityMatrix(2, m, rho, tol)
+    return _built_state(2, m, np.block([[A, UB], [UB.conj().T, A]]), tol)
 
 
 def hankel_state(U, L1, L2, Xi2, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
@@ -292,9 +288,7 @@ def hankel_state(U, L1, L2, Xi2, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix
     _check_condition("X Hermitian", np.linalg.norm(X - X.conj().T))
     A1 = C @ L1r @ C + S @ L2 @ S
     A2 = C @ L2 @ C + S @ L1r @ S
-    rho = np.block([[U @ A1 @ U.conj().T, X], [X.conj().T, A2]])
-    rho = (rho + rho.conj().T) / 2.0
-    return DensityMatrix(2, m, rho, tol)
+    return _built_state(2, m, np.block([[U @ A1 @ U.conj().T, X], [X.conj().T, A2]]), tol)
 
 
 def class3_state(n: int, m: int, Zs, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
@@ -310,9 +304,7 @@ def class3_state(n: int, m: int, Zs, tol: Tolerances = DEFAULT_TOL) -> DensityMa
         raise DmParamError(f"class3_state: need n >= 2, got {n}")
     T, m = _as_blocks(Zs, m, "class3_state", n)
     col = _level_columns(T)
-    rho = (col @ col.conj().T) / m
-    rho = (rho + rho.conj().T) / 2.0
-    return DensityMatrix(n, m, rho, tol)
+    return _built_state(n, m, (col @ col.conj().T) / m, tol)
 
 
 def nonabelian_bloch(U, Xi2, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
@@ -333,8 +325,7 @@ def nonabelian_bloch(U, Xi2, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
         raise DmParamError("nonabelian_bloch: U and Xi2 must match")
     Ud = U.conj().T
     rho = np.block([[U @ S @ S @ Ud, U @ S @ C], [C @ S @ Ud, C @ C]]) / m
-    rho = (rho + rho.conj().T) / 2.0
-    return DensityMatrix(2, m, rho, tol)
+    return _built_state(2, m, rho, tol)
 
 
 def nonabelian_sphere_check(Ps) -> bool:

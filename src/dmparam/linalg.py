@@ -66,6 +66,14 @@ UNITARY_TOL = 1e-10
 RECON_TOL = 1e-10
 
 
+def _frobenius(x):
+    """Frobenius norm of each matrix of a ``(..., d, d)`` complex stack, the one
+    norm of every Hermiticity and unitarity check: ``einsum`` overflows to
+    ``inf`` without the warning of ``np.linalg.norm``'s BLAS dot."""
+    v = x.reshape(x.shape[:-2] + (-1,)).view(float)
+    return np.sqrt(np.einsum("...i,...i->...", v, v))
+
+
 def _as_square(M, who):
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -77,16 +85,18 @@ def _as_square(M, who):
 
 def _require_hermitian(M, tol, who):
     M = _as_square(M, who)
-    dev = np.linalg.norm(M - M.conj().T)
-    if dev > tol.tol_herm * max(np.linalg.norm(M), 1.0):
+    with np.errstate(over="ignore"):
+        dev = _frobenius(M - M.conj().T)
+    if dev > tol.tol_herm * max(_frobenius(M), 1.0):
         raise DmParamError(f"{who}: Hermiticity deviation {dev:.3e} exceeds tolerance")
     return M
 
 
 def _require_unitary(U, who):
     U = _as_square(U, who)
-    dev = np.linalg.norm(U.conj().T @ U - np.eye(U.shape[0]))
-    if dev > UNITARY_TOL:
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev = _frobenius(U.conj().T @ U - np.eye(U.shape[0]))
+    if not dev <= UNITARY_TOL:  # NaN when the product overflows to inf - inf
         raise DmParamError(f"{who}: unitarity deviation {dev:.3e} exceeds tolerance")
     return U
 
@@ -153,8 +163,9 @@ def expm_skew(X, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         ``X`` is not square, not finite or not skew-Hermitian.
     """
     X = _as_square(X, "expm_skew")
-    dev = np.linalg.norm(X + X.conj().T)
-    if dev > tol.tol_herm * max(np.linalg.norm(X), 1.0):
+    with np.errstate(over="ignore"):
+        dev = _frobenius(X + X.conj().T)
+    if dev > tol.tol_herm * max(_frobenius(X), 1.0):
         raise DmParamError(f"expm_skew: skew-Hermiticity deviation {dev:.3e} exceeds tolerance")
     w, V = np.linalg.eigh(1j * X)
     return (V * np.exp(-1j * w)) @ V.conj().T

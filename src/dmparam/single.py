@@ -21,7 +21,8 @@ that identity).  ``V_j`` is the identity plus a rank-2 correction,
 
 with ``c = cos t`` and ``s = sin t``: the ``m = 1`` level of the block
 chain, so both chains run one kernel, ``linalg._chain``, which never forms
-a ``V_j`` and multiplies consecutive levels in compact-WY blocks.
+a ``V_j`` and multiplies consecutive levels in compact-WY blocks.  The gate
+judges the Hermitian part of ``U diag(lambdas) U^dag``, as for every built state.
 
 For ``n = 2`` and ``z_2 = t e^{i phi}`` the assembled state is
 
@@ -44,7 +45,7 @@ import numpy as np
 
 from .errors import DmParamError
 from .linalg import DEFAULT_TOL, Tolerances, _chain
-from .states import DensityMatrix
+from .states import DensityMatrix, _built_state
 
 __all__ = [
     "SingleParams",
@@ -168,10 +169,8 @@ def assemble_rho_single(p: SingleParams, tol: Tolerances = DEFAULT_TOL) -> Densi
     The spectrum of the result equals ``p.lambdas`` as a multiset (the
     conjugation is unitary) and the trace is one.
     """
-    n = p.n
-    U = _product(n, p.zvecs)
-    rho = (U * p.lambdas) @ U.conj().T
-    return DensityMatrix(n, 1, rho, tol)
+    U = _product(p.n, p.zvecs)
+    return _built_state(p.n, 1, (U * p.lambdas) @ U.conj().T, tol)
 
 
 def _product(d, zvecs):

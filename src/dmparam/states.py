@@ -5,7 +5,8 @@ trace-one matrix together with its declared bipartite split ``(n, m)``.
 Single-system states use ``m = 1``.  Instances are validated on construction;
 the matrix is read-only, and the spectrum is computed on first read and
 cached.  Two threads reading it at once may both compute it, with the same
-result.
+result.  A state the package builds reaches the gate as the Hermitian part of
+its matrix, through ``_built_state``; a matrix from outside is judged as given.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DmParamError, NotPsdError
-from .linalg import DEFAULT_TOL, TRACE_TOL, Tolerances
+from .linalg import DEFAULT_TOL, TRACE_TOL, Tolerances, _frobenius
 
 __all__ = ["DensityMatrix", "check_states"]
 
@@ -21,16 +22,6 @@ _EPS = float(np.finfo(float).eps)
 #: The Cholesky verdict is trusted only where ``tol_psd`` is this many times
 #: its rounding error ``d * eps`` (2.2e-11 at ``d = 100``).
 _CHOLESKY_MARGIN = 1000.0
-
-
-def _frobenius(x):
-    """Frobenius norm of each matrix of a ``(..., d, d)`` complex stack.
-
-    Like ``np.linalg.norm`` (a BLAS dot), ``einsum`` overflows to ``inf``
-    without a floating-point warning; the infinite norm then fails its check.
-    """
-    v = x.reshape(x.shape[:-2] + (-1,)).view(float)
-    return np.sqrt(np.einsum("...i,...i->...", v, v))
 
 
 def _factors(mats):
@@ -70,13 +61,14 @@ def check_states(mats, tol: Tolerances = DEFAULT_TOL):
     finite = np.logical_and.reduce(np.isfinite(mats), axis=(-2, -1))
     if np.count_nonzero(finite) < finite.size:
         mats = np.where(finite[..., None, None], mats, 0.0)
-    herm_dev = _frobenius(mats - mats.conj().swapaxes(-1, -2))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow ends as inf or NaN, quietly
+        herm_dev = _frobenius(mats - mats.conj().swapaxes(-1, -2))
+        trace_dev = np.abs(mats.trace(axis1=-2, axis2=-1) - 1.0)
     # The bound tol_herm * max(||M||, 1) is never below tol_herm, so the
     # norms of the matrices are needed only where the deviation exceeds that.
     not_herm = herm_dev > tol.tol_herm
     if np.count_nonzero(not_herm):
         not_herm &= herm_dev > tol.tol_herm * np.maximum(_frobenius(mats), 1.0)
-    trace_dev = np.abs(mats.trace(axis1=-2, axis2=-1) - 1.0)
     failed = ~finite | not_herm | (trace_dev > TRACE_TOL)
     if np.count_nonzero(failed):
         mats = np.where(failed[..., None, None], 0.0, mats)
@@ -108,6 +100,16 @@ def check_states(mats, tol: Tolerances = DEFAULT_TOL):
             f"state has eigenvalue {w[i][0]:.3e} below -tol_psd = {-tol.tol_psd:.1e}"
         )
     return i, error
+
+
+def _built_state(n, m, rho, tol=DEFAULT_TOL):
+    """The :class:`DensityMatrix` of a matrix the package built, Hermitian up to
+    rounding: the gate judges ``(rho + rho^dag) / 2``, or ``rho`` itself, bit for
+    bit, where that is exactly Hermitian.  An outside matrix is judged as given."""
+    if not np.array_equal(rho, rho.conj().T):
+        with np.errstate(over="ignore", invalid="ignore"):  # overflows end non-finite
+            rho = (rho + rho.conj().T) / 2.0
+    return DensityMatrix(n, m, rho, tol)
 
 
 class DensityMatrix:

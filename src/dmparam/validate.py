@@ -46,7 +46,7 @@ from .linalg import (
     polar,
 )
 from .single import assemble_rho_single, build_Vjn, build_Xj_single
-from .states import DensityMatrix
+from .states import DensityMatrix, _built_state
 
 __all__ = ["run_validation", "CheckResult", "EXAMPLES"]
 
@@ -296,8 +296,7 @@ def _exp_chain(p, tol=DEFAULT_TOL):
     for j, Zs in enumerate(p.blockvecs, start=2):
         if np.any(Zs):
             U = expm_skew(build_Xj_block(Zs, n, j, m), tol) @ U
-    rho = U @ D @ U.conj().T
-    return DensityMatrix(n, m, (rho + rho.conj().T) / 2.0, tol)
+    return _built_state(n, m, U @ D @ U.conj().T, tol)
 
 
 def _hankel_inputs(rng, m):

@@ -248,6 +248,15 @@ class TestCliAnalyze:
         assert "ppt           false" in text
         assert "-0.125" in text
 
+    def test_report_fields(self, tmp_path, capsys):
+        out = self._generate(tmp_path, {"family": "isotropic", "p": 0.5})
+        capsys.readouterr()
+        assert main(["analyze", out]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "state report"
+        assert [line.split()[0] for line in lines[1:]] == [
+            "dims", "eigenvalues", "purity", "rank", "ppt", "min_pt_eig", "structure"]
+
     def test_maximally_mixed_3x3(self, tmp_path, capsys):
         path = tmp_path / "mm.json"
         write_matrix(path, np.eye(9) / 9.0, "json")

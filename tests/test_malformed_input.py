@@ -22,13 +22,29 @@ def _block(**fields):
     return _doc("block", payload)
 
 
+_I2 = [[1, 0], [0, 1]]
+_Q2 = [[0.25, 0], [0, 0.25]]
+
+
+def _two_by_m(**fields):
+    payload = {"family": "two_by_m", "U": _I2, "L1": _Q2, "L2": _Q2, "Xi2": _I2}
+    payload.update(fields)
+    return _doc("family", payload)
+
+
 _SWEEP_CIRCULANT = ["--family", "circulant", "--grid", "alpha=0:1:3", "--grid", "beta=0:1:3"]
 
 #: A JSON integer past the largest double.
 HUGE = 10**400
 
+#: An ``analyze`` input path where no file is, and one that is a directory.
+MISSING, DIRECTORY = object(), object()
+
+_3X3_TEXT = "0.5+0j 0+0j 0+0j\n0+0j 0.25+0j 0+0j\n0+0j 0+0j 0.25+0j\n"
+
 # (parameter document, matrix document, a matrix file's raw text or sweep
-# argv, text stderr must contain)
+# argv, text stderr must contain); a tuple is an ``analyze`` input (a matrix
+# document or raw text, MISSING or DIRECTORY) followed by flags
 CASES = {
     "top-level-array": ([_doc("single", {"lambdas": [1.0], "zvecs": []})],
                         "top level: expected an object"),
@@ -82,6 +98,29 @@ CASES = {
                         "SingleParams: z-vector for j=2 has non-finite entries"),
     "block-zero-n": (_block(n=0), "BlockParams: dims must be positive, got n=0, m=2"),
     "block-missing-blockvec": (_block(), "BlockParams: expected 1 block vectors, got 0"),
+    "block-nan-entry": (_block(blockvecs=[[[[float("nan"), 0], [0, 0.2]]]]),
+                        "BlockParams: Z_2: block 0 has non-finite entries"),
+    "block-not-square": (_block(blockvecs=[[[[0.1, 0.2]]]]),
+                         "BlockParams: Z_2: block 0 is not square (shape (1, 2))"),
+    "two_by_m-3x3-L1": (_two_by_m(L1=(np.eye(3) / 6).tolist()),
+                        "two_by_m: all inputs must be m x m"),
+    "class3-n-1": (_doc("family", {"family": "class3", "n": 1, "m": 1, "Z": []}),
+                   "class3_state: need n >= 2, got 1"),
+    "nonabelian_bloch-nan-U": (
+        _doc("family", {"family": "nonabelian_bloch", "U": [[float("nan"), 0], [0, 1]],
+                        "Xi2": _I2}),
+        "nonabelian_bloch: U: matrix contains non-finite entries"),
+    "nonabelian_bloch-1x1-Xi2": (
+        _doc("family", {"family": "nonabelian_bloch", "U": _I2, "Xi2": [[0.5]]}),
+        "nonabelian_bloch: U and Xi2 must match"),
+    "analyze-missing-file": ((MISSING,), "cannot read"),
+    "analyze-directory": ((DIRECTORY,), "cannot read"),
+    "analyze-negative-dims-flags": ((_3X3_TEXT, "--n", "-1", "--m", "-3"),
+                                    "analyze: dims must be positive, got n=-1, m=-3"),
+    "analyze-negative-dims-file": (
+        {"schema_version": "1", "n": -1, "m": -3,
+         "matrix": [[1 / 3, 0, 0], [0, 1 / 3, 0], [0, 0, 1 / 3]]},
+        "analyze: dims must be positive, got n=-1, m=-3"),
     "overflowing-single-lambdas": (
         _doc("single", {"lambdas": [1e308, 1e308], "zvecs": [[0.3]]}),
         "SingleParams: eigenvalues sum to inf, not 1"),
@@ -153,16 +192,6 @@ CASES = {
 }
 
 
-_I2 = [[1, 0], [0, 1]]
-_Q2 = [[0.25, 0], [0, 0.25]]
-
-
-def _two_by_m(**fields):
-    payload = {"family": "two_by_m", "U": _I2, "L1": _Q2, "L2": _Q2, "Xi2": _I2}
-    payload.update(fields)
-    return _doc("family", payload)
-
-
 # (parameter document, exit code, the whole of stderr): one raise site of each
 # kind of input error the CLI can reach, and a negative eigenvalue (exit 3)
 PINNED = {
@@ -216,9 +245,13 @@ def test_exit_code_and_whole_stderr(case, tmp_path, capsys):
 def test_exits_2_and_names_field(case, tmp_path, capsys):
     doc, field = CASES[case]
     src, out = tmp_path / "input", tmp_path / "out"
-    if isinstance(doc, str):
+    doc, *flags = doc if isinstance(doc, tuple) else (doc,)
+    if doc is DIRECTORY:
+        src.mkdir()
+    elif isinstance(doc, str):
         src.write_text(doc)
-        argv = ["analyze", str(src)]
+    if not isinstance(doc, (list, dict)):  # raw text, MISSING or DIRECTORY
+        argv = ["analyze", str(src), *flags]
     elif isinstance(doc, list) and all(isinstance(arg, str) for arg in doc):
         argv = ["sweep", *doc, "-o", str(out)]
     else:
