@@ -5,13 +5,14 @@ in the test suite, with the generic block assembly on the corresponding
 parameters; the two routes agree entrywise.
 
 The five 2 (x) 2 families that ``dmparam sweep`` scans keep their matrix in
-one array formula (``_pure_P_mats``, ``_isotropic_mats``, ...): it maps
-parameters stacked over leading axes to a ``(..., 4, 4)`` stack, and the
-scalar constructor checks its arguments and calls it on a single point.
-``FAMILIES`` holds each formula with its vectorized range checks and
-analytic PPT margin, so a sweep builds, gates and partially transposes a
-whole chunk of grid points at once and gets the same bits as the
-constructor at every point.
+one array formula (``_pure_P_mats``, ``_isotropic_mats``, ...) that maps
+parameters stacked over leading axes to a ``(..., 4, 4)`` stack; the scalar
+constructor checks its arguments and calls it on one point.  ``FAMILIES``
+holds each formula with its vectorized range checks and analytic PPT margin,
+so a sweep builds, gates and partially transposes a chunk of grid points at
+once and gets the constructor's bits at every point.  A formula writes each
+off-diagonal entry to both mirrored places, so it is gated as built; other
+constructors gate the Hermitian part (``states._built_state``).
 
 Conventions fixed here once and for all: ``sigma_x = [[0, 1], [1, 0]]``,
 and the 2 (x) 2 basis is ordered ``|00>, |01>, |10>, |11>`` so that printed
@@ -73,7 +74,7 @@ def pure_P(alpha: float, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
     of its partial transpose is ``-sin(a) cos(a)``, so ``a = pi/4`` is the
     maximally entangled point.
     """
-    return _built_state(2, 2, _pure_P_mats(alpha), tol)
+    return DensityMatrix(2, 2, _pure_P_mats(alpha), tol)
 
 
 def _isotropic_in_range(p):
@@ -95,7 +96,7 @@ def isotropic(p: float, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
     """
     if not _isotropic_in_range(p):
         raise DmParamError(f"isotropic: p = {p!r} outside [-1/3, 1]")
-    return _built_state(2, 2, _isotropic_mats(p), tol)
+    return DensityMatrix(2, 2, _isotropic_mats(p), tol)
 
 
 def _isotropic_alpha_mats(p, alpha):
@@ -116,7 +117,7 @@ def isotropic_alpha(p: float, alpha: float, tol: Tolerances = DEFAULT_TOL) -> De
     Positivity is validated after construction; for ``p >= 0`` the state is
     PPT iff ``p <= sep_threshold(alpha)``.
     """
-    return _built_state(2, 2, _isotropic_alpha_mats(p, alpha), tol)
+    return DensityMatrix(2, 2, _isotropic_alpha_mats(p, alpha), tol)
 
 
 def sep_threshold(alpha: float) -> float:
@@ -163,7 +164,7 @@ def circulant_rho(p, alpha: float, beta: float, tol: Tolerances = DEFAULT_TOL) -
     """
     p = _check_simplex(p, 4, False, "circulant_rho")
     _check_angles(alpha, beta)
-    return _built_state(2, 2, _circulant_mats(p, alpha, beta), tol)
+    return DensityMatrix(2, 2, _circulant_mats(p, alpha, beta), tol)
 
 
 def _bell_diagonal_mats(p):
@@ -180,7 +181,7 @@ def _bell_diagonal_mats(p):
 def bell_diagonal(p, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
     """Mixture of the four Bell projectors with weights ``p``; PPT iff ``max p_k <= 1/2``."""
     p = _check_simplex(p, 4, False, "bell_diagonal")
-    return _built_state(2, 2, _bell_diagonal_mats(p), tol)
+    return DensityMatrix(2, 2, _bell_diagonal_mats(p), tol)
 
 
 def _two_by_m_blocks(U, L1, L2, C, S):

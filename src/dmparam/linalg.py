@@ -67,11 +67,10 @@ RECON_TOL = 1e-10
 
 
 def _frobenius(x):
-    """Frobenius norm of each matrix of a ``(..., d, d)`` complex stack, the one
-    norm of every Hermiticity and unitarity check: ``einsum`` overflows to
-    ``inf`` without the warning of ``np.linalg.norm``'s BLAS dot."""
-    v = x.reshape(x.shape[:-2] + (-1,)).view(float)
-    return np.sqrt(np.einsum("...i,...i->...", v, v))
+    """Frobenius norm of each matrix of a ``(..., d, d)`` complex stack; unlike
+    ``np.linalg.norm``, it overflows to ``inf`` without a warning."""
+    v = np.ascontiguousarray(x).view(float)
+    return np.sqrt(np.einsum("...ij,...ij->...", v, v))
 
 
 def _as_square(M, who):
@@ -87,7 +86,7 @@ def _require_hermitian(M, tol, who):
     M = _as_square(M, who)
     with np.errstate(over="ignore"):
         dev = _frobenius(M - M.conj().T)
-    if dev > tol.tol_herm * max(_frobenius(M), 1.0):
+    if dev > tol.tol_herm * max(_frobenius(M), 1.0) or dev == np.inf:
         raise DmParamError(f"{who}: Hermiticity deviation {dev:.3e} exceeds tolerance")
     return M
 
@@ -165,7 +164,7 @@ def expm_skew(X, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     X = _as_square(X, "expm_skew")
     with np.errstate(over="ignore"):
         dev = _frobenius(X + X.conj().T)
-    if dev > tol.tol_herm * max(_frobenius(X), 1.0):
+    if dev > tol.tol_herm * max(_frobenius(X), 1.0) or dev == np.inf:
         raise DmParamError(f"expm_skew: skew-Hermiticity deviation {dev:.3e} exceeds tolerance")
     w, V = np.linalg.eigh(1j * X)
     return (V * np.exp(-1j * w)) @ V.conj().T

@@ -22,7 +22,7 @@ that identity).  ``V_j`` is the identity plus a rank-2 correction,
 with ``c = cos t`` and ``s = sin t``: the ``m = 1`` level of the block
 chain, so both chains run one kernel, ``linalg._chain``, which never forms
 a ``V_j`` and multiplies consecutive levels in compact-WY blocks.  The gate
-judges the Hermitian part of ``U diag(lambdas) U^dag``, as for every built state.
+judges the Hermitian part of ``U diag(lambdas) U^dag``, as for the block chain.
 
 For ``n = 2`` and ``z_2 = t e^{i phi}`` the assembled state is
 

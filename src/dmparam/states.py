@@ -6,7 +6,8 @@ Single-system states use ``m = 1``.  Instances are validated on construction;
 the matrix is read-only, and the spectrum is computed on first read and
 cached.  Two threads reading it at once may both compute it, with the same
 result.  A state the package builds reaches the gate as the Hermitian part of
-its matrix, through ``_built_state``; a matrix from outside is judged as given.
+its matrix, through ``_built_state``, unless an array formula of ``families``
+makes it exactly Hermitian; a matrix from outside is judged as given.
 """
 
 from __future__ import annotations
@@ -64,12 +65,12 @@ def check_states(mats, tol: Tolerances = DEFAULT_TOL):
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow ends as inf or NaN, quietly
         herm_dev = _frobenius(mats - mats.conj().swapaxes(-1, -2))
         trace_dev = np.abs(mats.trace(axis1=-2, axis2=-1) - 1.0)
-    # The bound tol_herm * max(||M||, 1) is never below tol_herm, so the
-    # norms of the matrices are needed only where the deviation exceeds that.
-    not_herm = herm_dev > tol.tol_herm
+    not_herm = herm_dev > tol.tol_herm  # the floor of the bound: norms are needed only past it
     if np.count_nonzero(not_herm):
-        not_herm &= herm_dev > tol.tol_herm * np.maximum(_frobenius(mats), 1.0)
-    failed = ~finite | not_herm | (trace_dev > TRACE_TOL)
+        bound = tol.tol_herm * np.maximum(_frobenius(mats), 1.0)
+        not_herm &= (herm_dev > bound) | np.isinf(herm_dev)  # an overflow fails regardless
+    bad_trace = ~(trace_dev <= TRACE_TOL)  # so does a NaN trace
+    failed = ~finite | not_herm | bad_trace
     if np.count_nonzero(failed):
         mats = np.where(failed[..., None, None], 0.0, mats)
     d = mats.shape[-1]
@@ -93,7 +94,7 @@ def check_states(mats, tol: Tolerances = DEFAULT_TOL):
         error = DmParamError("matrix contains non-finite entries")
     elif not_herm[i]:
         error = DmParamError(f"state Hermiticity deviation {herm_dev[i]:.3e} exceeds tolerance")
-    elif trace_dev[i] > TRACE_TOL:
+    elif bad_trace[i]:
         error = DmParamError(f"state trace deviates from 1 by {trace_dev[i]:.3e}")
     else:
         error = NotPsdError(
@@ -104,11 +105,10 @@ def check_states(mats, tol: Tolerances = DEFAULT_TOL):
 
 def _built_state(n, m, rho, tol=DEFAULT_TOL):
     """The :class:`DensityMatrix` of a matrix the package built, Hermitian up to
-    rounding: the gate judges ``(rho + rho^dag) / 2``, or ``rho`` itself, bit for
-    bit, where that is exactly Hermitian.  An outside matrix is judged as given."""
-    if not np.array_equal(rho, rho.conj().T):
-        with np.errstate(over="ignore", invalid="ignore"):  # overflows end non-finite
-            rho = (rho + rho.conj().T) / 2.0
+    rounding: the gate judges ``(rho + rho^dag) / 2``.  An outside matrix is
+    judged as given."""
+    with np.errstate(over="ignore", invalid="ignore"):  # the gate rejects what overflows
+        rho = (rho + rho.conj().T) / 2.0
     return DensityMatrix(n, m, rho, tol)
 
 

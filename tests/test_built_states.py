@@ -1,6 +1,6 @@
-"""Every state the package builds reaches the gate as the Hermitian part of
-its matrix, and every Hermiticity and unitarity check measures with one
-overflow-quiet Frobenius norm."""
+"""Every state the package builds reaches the gate exactly Hermitian, and
+every Hermiticity and unitarity check measures with one overflow-quiet
+Frobenius norm."""
 
 import json
 import warnings
@@ -21,6 +21,7 @@ from dmparam import (
     hankel_state,
     isotropic,
     isotropic_alpha,
+    matfun_psd,
     nonabelian_bloch,
     pure_P,
     toeplitz_state,
@@ -111,8 +112,14 @@ _BIG = 1e200 * _I2
     (lambda: nonabelian_bloch(_I2, _BIG), None),
     (lambda: nonabelian_bloch(1e160 * _I2, _I2), "U: unitarity deviation"),
     (lambda: DensityMatrix(2, 1, [[1e308, 0], [0, 1e308]]), "trace deviates from 1 by inf"),
+    (lambda: DensityMatrix(2, 1, [[0.5, 1e200], [0, 0.5]]), "Hermiticity deviation inf"),
+    (lambda: DensityMatrix(4, 1, np.diag([1e308, 1e308, -1e308, -1e308])),
+     "trace deviates from 1 by nan"),
+    (lambda: matfun_psd([[0, 1e200], [0, 0]], "sqrt"), "Hermiticity deviation inf"),
+    (lambda: expm_skew([[0, 1e200], [0, 0]]), "skew-Hermiticity deviation inf"),
 ], ids=["two_by_m-L1", "two_by_m-U", "two_by_m-Xi2", "toeplitz-Xi2", "hankel-Xi2",
-        "nonabelian_bloch-Xi2", "nonabelian_bloch-U", "gate-trace"])
+        "nonabelian_bloch-Xi2", "nonabelian_bloch-U", "gate-trace", "gate-hermiticity",
+        "gate-nan-trace", "matfun_psd-hermiticity", "expm_skew-skew-hermiticity"])
 def test_overflowing_inputs_raise_no_warning(build, error):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -128,6 +135,18 @@ def test_expm_skew_of_a_huge_generator_raises_no_warning():
         warnings.simplefilter("error")
         U = expm_skew(1e200j * _I2)
     np.testing.assert_allclose(U.conj().T @ U, _I2, atol=1e-15)
+
+
+def test_checks_take_strided_views():
+    # each matrix of a (d, d, K) stack is a view whose entries are K apart
+    stack = np.zeros((2, 2, 3), dtype=complex)
+    stack[..., 0] = 1j * _I2
+    stack[..., 1] = _I2 / 4
+    stack[..., 2] = _I2
+    np.testing.assert_allclose(expm_skew(stack[..., 0]), np.exp(1j) * _I2, atol=1e-15)
+    np.testing.assert_allclose(matfun_psd(stack[..., 1], "sqrt"), _I2 / 2, atol=1e-15)
+    rho = two_by_m(stack[..., 2], stack[..., 1], stack[..., 1], stack[..., 2])
+    np.testing.assert_allclose(rho.mat, two_by_m(_I2, _I2 / 4, _I2 / 4, _I2).mat, atol=0)
 
 
 def test_generate_with_a_huge_angle_raises_no_warning(tmp_path):
