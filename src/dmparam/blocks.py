@@ -43,10 +43,10 @@ without forming any ``V_j``; for ``m = 1`` everything reduces to
 :mod:`dmparam.single`.  No level's angle depends on another, so one batched
 SVD of the levels, padded to the tallest, gives the factors of all of them.
 
-Inputs are checked once.  :class:`BlockParams` stores each level as a frozen
-``(j - 1, m, m)`` stack, and :func:`assemble_rho_block` reads it through
-kernels that check nothing (``_product``, ``_frame``, ``_generator``), which
-the public layer functions call after checking their raw arguments.
+Inputs are checked once, each kind by one checker (``_as_blocks`` for block
+vectors, ``_check_core`` for cores, ``linalg`` for dims and levels).
+:class:`BlockParams` stores each level as a frozen ``(j - 1, m, m)`` stack,
+which :func:`assemble_rho_block` reads through kernels that check nothing.
 """
 
 from __future__ import annotations
@@ -57,7 +57,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DmParamError, SingularAngleError
-from .linalg import DEFAULT_TOL, Tolerances, _chain, _level_factors, _require_unitary
+from .linalg import (DEFAULT_TOL, Tolerances, _chain, _check_dims, _check_level, _generator,
+                     _level_factors, _require_unitary)
 from .single import _check_simplex
 from .states import DensityMatrix, _built_state
 
@@ -173,21 +174,9 @@ def build_Xj_block(Zs, n: int, j: int, m: int) -> np.ndarray:
     Block ``(k, j)`` is ``Z_k`` and block ``(j, k)`` is ``-Z_k^dag`` for
     ``k < j``; all other blocks vanish.  ``X + X^dag = 0`` holds exactly.
     """
-    if not 2 <= j <= n:
-        raise DmParamError(f"need 2 <= j <= n, got j={j}, n={n}")
+    _check_level("build_Xj_block", j, n)
     T, _ = _as_blocks(Zs, m, "build_Xj_block", j)
     return _generator(T, n)
-
-
-def _generator(T, n):
-    """``X_j`` of a validated level stack ``T`` (``j = len(T) + 1``)."""
-    k, m, _ = T.shape
-    X = np.zeros((n * m, n * m), dtype=complex)
-    col = k * m
-    Zh = T.reshape(col, m)
-    X[:col, col : col + m] = Zh
-    X[col : col + m, :col] = -Zh.conj().T
-    return X
 
 
 def build_Vjnm(Zs, j: int, m: int) -> np.ndarray:
@@ -209,8 +198,7 @@ def build_Ajnm(Zs, n: int, j: int, m: int) -> np.ndarray:
     the remaining ``n - j`` diagonal blocks are identities.  The result
     equals ``expm_skew(build_Xj_block(Z_j, n, j, m))`` to rounding.
     """
-    if not 2 <= j <= n:
-        raise DmParamError(f"need 2 <= j <= n, got j={j}, n={n}")
+    _check_level("build_Ajnm", j, n)
     T, m = _as_blocks(Zs, m, "build_Ajnm", j)
     return _product(n * m, (T,))
 
@@ -218,7 +206,7 @@ def build_Ajnm(Zs, n: int, j: int, m: int) -> np.ndarray:
 def _check_core(lambdas, local_unitaries, n, m, who):
     """Read-only copies of the simplex point and the ``n`` local unitaries
     of a core, checked: each unitary within ``UNITARY_TOL`` and of size ``m``."""
-    lambdas = _check_simplex(lambdas, n * m, False, who)
+    lambdas = _check_simplex(lambdas, n * m, who)
     lambdas.flags.writeable = False
     if len(local_unitaries) != n:
         raise DmParamError(f"{who}: expected {n} local unitaries, got {len(local_unitaries)}")
@@ -277,20 +265,19 @@ class BlockParams:
     blockvecs: tuple = ()
 
     def __post_init__(self):
-        if self.n < 1 or self.m < 1:
-            raise DmParamError(f"BlockParams: dims must be positive, got n={self.n}, m={self.m}")
-        lambdas, unitaries = _check_core(
-            self.lambdas, self.local_unitaries, self.n, self.m, "BlockParams"
-        )
-        if len(self.blockvecs) != self.n - 1:
+        n, m = _check_dims("BlockParams", n=self.n, m=self.m)
+        lambdas, unitaries = _check_core(self.lambdas, self.local_unitaries, n, m, "BlockParams")
+        if len(self.blockvecs) != n - 1:
             raise DmParamError(
-                f"BlockParams: expected {self.n - 1} block vectors, got {len(self.blockvecs)}"
+                f"BlockParams: expected {n - 1} block vectors, got {len(self.blockvecs)}"
             )
         vecs = []
         for j, Zs in enumerate(self.blockvecs, start=2):
-            T, _ = _as_blocks(Zs, self.m, f"BlockParams: Z_{j}", j)
+            T, _ = _as_blocks(Zs, m, f"BlockParams: Z_{j}", j)
             T.flags.writeable = False
             vecs.append(T)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
         object.__setattr__(self, "lambdas", lambdas)
         object.__setattr__(self, "local_unitaries", unitaries)
         object.__setattr__(self, "blockvecs", tuple(vecs))

@@ -37,7 +37,7 @@ from .entanglement import BOUNDARY_BAND, detect_structure, ppt_check, pt_spectru
 from .errors import ConvergenceFailureError, DmParamError, NotPsdError, SingularAngleError
 from .families import FAMILIES, FamilySpec, build_family
 from .io import fmt_float, load_param_file, read_matrix, write_matrix
-from .linalg import DEFAULT_TOL, TRACE_TOL, Tolerances, _frobenius
+from .linalg import DEFAULT_TOL, TRACE_TOL, Tolerances, _check_dims, _frobenius
 from .single import SingleParams, assemble_rho_single
 from .states import check_states
 from .validate import EXAMPLES, run_validation, serialize_counterexample
@@ -74,8 +74,7 @@ def cmd_analyze(args, tol) -> int:
     if n is None or m is None:
         print("analyze: dims unknown; pass --n and --m", file=sys.stderr)
         return EXIT_INPUT
-    if n < 1 or m < 1:
-        raise DmParamError(f"analyze: dims must be positive, got n={n}, m={m}")
+    _check_dims("analyze", n=n, m=m)
     if mat.shape != (n * m, n * m):
         print(
             f"analyze: matrix shape {mat.shape} does not match n*m = {n * m}",

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DmParamError
-from .linalg import DEFAULT_TOL, Tolerances
+from .linalg import DEFAULT_TOL, Tolerances, _check_dims
 from .single import _check_simplex
 from .states import DensityMatrix
 
@@ -39,14 +39,15 @@ STRUCTURE_TOL = 1e-10
 BOUNDARY_BAND = 1e-9
 
 
-def _unpack(rho, dims):
+def _unpack(rho, dims, who):
     if isinstance(rho, DensityMatrix):
         return rho.mat, rho.n, rho.m
     mat = np.asarray(rho, dtype=complex)
     if dims is None:
         raise DmParamError("plain matrices need explicit dims=(n, m)")
     n, m = dims
-    if mat.shape[-2:] != (n * m, n * m) or min(n, m) < 1:
+    n, m = _check_dims(who, n=n, m=m)
+    if mat.shape[-2:] != (n * m, n * m):
         raise DmParamError(f"matrix of shape {mat.shape} does not match dims {dims}")
     return mat, n, m
 
@@ -67,7 +68,7 @@ def partial_transpose(rho, subsystem: str = "second", dims=None) -> np.ndarray:
         The partially transposed matrix, or stack (Hermitian whenever the
         input is).
     """
-    mat, n, m = _unpack(rho, dims)
+    mat, n, m = _unpack(rho, dims, "partial_transpose")
     batch = mat.shape[:-2]
     R = mat.reshape(batch + (n, m, n, m))
     if subsystem == "second":
@@ -135,7 +136,7 @@ def circulant_ppt_margins(p, alpha: float, beta: float):
     and the state is PPT iff both are nonnegative.  At ``alpha = beta = pi/4``
     they reduce to the Bell-diagonal law ``max_k p_k <= 1/2``.
     """
-    p = _check_simplex(p, 4, False, "circulant_ppt_margins")
+    p = _check_simplex(p, 4, "circulant_ppt_margins")
     _check_angles(alpha, beta)
     m1, m2 = _circulant_margins(p, alpha, beta)
     return float(m1), float(m2)
@@ -186,7 +187,7 @@ def detect_structure(rho, dims=None) -> str:
 
     Block comparisons use the relative Frobenius tolerance ``STRUCTURE_TOL``.
     """
-    mat, n, m = _unpack(rho, dims)
+    mat, n, m = _unpack(rho, dims, "detect_structure")
     if mat.ndim != 2:
         raise DmParamError(f"detect_structure takes one matrix, got shape {mat.shape}")
     if n != 2:

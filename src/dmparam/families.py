@@ -2,7 +2,8 @@
 
 Every constructor returns a validated :class:`DensityMatrix` and is paired,
 in the test suite, with the generic block assembly on the corresponding
-parameters; the two routes agree entrywise.
+parameters; the two routes agree entrywise.  The four with a matrix angle
+``Xi2`` read their matrices through one checker, ``_two_by_m_inputs``.
 
 The five 2 (x) 2 families that ``dmparam sweep`` scans keep their matrix in
 one array formula (``_pure_P_mats``, ``_isotropic_mats``, ...) that maps
@@ -29,7 +30,7 @@ import numpy as np
 from .blocks import _as_blocks, _level_columns
 from .entanglement import _angle_ok, _check_angles, _circulant_margins
 from .errors import DmParamError
-from .linalg import DEFAULT_TOL, TRACE_TOL, Tolerances, _require_psd, _require_unitary
+from .linalg import DEFAULT_TOL, TRACE_TOL, Tolerances, _check_dims, _require_psd, _require_unitary
 from .single import _check_simplex, _on_simplex
 from .states import DensityMatrix, _built_state
 
@@ -162,7 +163,7 @@ def circulant_rho(p, alpha: float, beta: float, tol: Tolerances = DEFAULT_TOL) -
     vector, and reducing to :func:`bell_diagonal` at ``alpha = beta = pi/4``.
     Its exact PPT verdict is :func:`dmparam.entanglement.circulant_conditions`.
     """
-    p = _check_simplex(p, 4, False, "circulant_rho")
+    p = _check_simplex(p, 4, "circulant_rho")
     _check_angles(alpha, beta)
     return DensityMatrix(2, 2, _circulant_mats(p, alpha, beta), tol)
 
@@ -180,8 +181,20 @@ def _bell_diagonal_mats(p):
 
 def bell_diagonal(p, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
     """Mixture of the four Bell projectors with weights ``p``; PPT iff ``max p_k <= 1/2``."""
-    p = _check_simplex(p, 4, False, "bell_diagonal")
+    p = _check_simplex(p, 4, "bell_diagonal")
     return DensityMatrix(2, 2, _bell_diagonal_mats(p), tol)
+
+
+def _two_by_m_inputs(who, tol, U, Xi2, **cores):
+    """``U`` unitary, then the named cores and ``Xi2`` PSD, all ``m x m``, and
+    ``cos Xi2``, ``sin Xi2`` from the eigendecomposition that checks ``Xi2``."""
+    U = _require_unitary(U, f"{who}: U")
+    cores = [_require_psd(M, tol, f"{who}: {name}")[0] for name, M in cores.items()]
+    Xi2, (C, S) = _require_psd(Xi2, tol, f"{who}: Xi2", ("cos", "sin"))
+    m = U.shape[0]
+    if any(M.shape != (m, m) for M in (*cores, Xi2)):
+        raise DmParamError(f"{who}: all inputs must be m x m")
+    return U, cores, Xi2, C, S
 
 
 def _two_by_m_blocks(U, L1, L2, C, S):
@@ -207,18 +220,12 @@ def two_by_m(U, L1, L2, Xi2, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
     ``diag(L1, L2)``; ``Xi2 = (pi/2) I`` swaps the blocks up to the local
     unitary.
     """
-    U = _require_unitary(U, "two_by_m: U")
-    m = U.shape[0]
-    L1, _ = _require_psd(L1, tol, "two_by_m: L1")
-    L2, _ = _require_psd(L2, tol, "two_by_m: L2")
-    Xi2, (C, S) = _require_psd(Xi2, tol, "two_by_m: Xi2", ("cos", "sin"))
-    if not L1.shape == L2.shape == Xi2.shape == (m, m):
-        raise DmParamError("two_by_m: all inputs must be m x m")
+    U, (L1, L2), _, C, S = _two_by_m_inputs("two_by_m", tol, U, Xi2, L1=L1, L2=L2)
     tr = float((np.trace(L1) + np.trace(L2)).real)
     if abs(tr - 1.0) > TRACE_TOL:
         raise DmParamError(f"two_by_m: Tr(L1 + L2) = {tr!r}, not 1")
     B11, B12, B21, B22 = _two_by_m_blocks(U, L1, L2, C, S)
-    return _built_state(2, m, np.block([[B11, B12], [B21, B22]]), tol)
+    return _built_state(2, len(U), np.block([[B11, B12], [B21, B22]]), tol)
 
 
 def _check_condition(name, residual):
@@ -242,19 +249,14 @@ def toeplitz_state(L, U, Xi2, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
     commutes with ``Xi2``; in that degenerate case the state is block
     diagonal.
     """
-    L, _ = _require_psd(L, tol, "toeplitz_state: L")
-    U = _require_unitary(U, "toeplitz_state: U")
-    Xi2, (C, S) = _require_psd(Xi2, tol, "toeplitz_state: Xi2", ("cos", "sin"))
-    m = L.shape[0]
-    if not U.shape == Xi2.shape == (m, m):
-        raise DmParamError("toeplitz_state: all inputs must be m x m")
+    U, (L,), _, C, S = _two_by_m_inputs("toeplitz_state", tol, U, Xi2, L=L)
     _check_condition("[L, U] = 0", np.linalg.norm(L @ U - U @ L))
     _check_condition("Tr(2L) = 1", abs(2.0 * float(np.trace(L).real) - 1.0))
     A = C @ L @ C + S @ L @ S
     B = S @ L @ C - C @ L @ S
     _check_condition("U A U^dag = A", np.linalg.norm(U @ A @ U.conj().T - A))
     UB = U @ B
-    return _built_state(2, m, np.block([[A, UB], [UB.conj().T, A]]), tol)
+    return _built_state(2, len(U), np.block([[A, UB], [UB.conj().T, A]]), tol)
 
 
 def hankel_state(U, L1, L2, Xi2, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
@@ -271,13 +273,7 @@ def hankel_state(U, L1, L2, Xi2, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix
     ``A2 = C L2 C + S U^dag L1 U S``: equal off-diagonal blocks, i.e. block
     Hankel, hence PPT.
     """
-    U = _require_unitary(U, "hankel_state: U")
-    L1, _ = _require_psd(L1, tol, "hankel_state: L1")
-    L2, _ = _require_psd(L2, tol, "hankel_state: L2")
-    Xi2, (C, S) = _require_psd(Xi2, tol, "hankel_state: Xi2", ("cos", "sin"))
-    m = U.shape[0]
-    if not L1.shape == L2.shape == Xi2.shape == (m, m):
-        raise DmParamError("hankel_state: all inputs must be m x m")
+    U, (L1, L2), Xi2, C, S = _two_by_m_inputs("hankel_state", tol, U, Xi2, L1=L1, L2=L2)
     L1r = U.conj().T @ L1 @ U
     _check_condition("[U^dag L1 U, Xi2] = 0", np.linalg.norm(L1r @ Xi2 - Xi2 @ L1r))
     _check_condition("[L2, Xi2] = 0", np.linalg.norm(L2 @ Xi2 - Xi2 @ L2))
@@ -289,7 +285,7 @@ def hankel_state(U, L1, L2, Xi2, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix
     _check_condition("X Hermitian", np.linalg.norm(X - X.conj().T))
     A1 = C @ L1r @ C + S @ L2 @ S
     A2 = C @ L2 @ C + S @ L1r @ S
-    return _built_state(2, m, np.block([[U @ A1 @ U.conj().T, X], [X.conj().T, A2]]), tol)
+    return _built_state(2, len(U), np.block([[U @ A1 @ U.conj().T, X], [X.conj().T, A2]]), tol)
 
 
 def class3_state(n: int, m: int, Zs, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
@@ -303,6 +299,7 @@ def class3_state(n: int, m: int, Zs, tol: Tolerances = DEFAULT_TOL) -> DensityMa
     """
     if n < 2:
         raise DmParamError(f"class3_state: need n >= 2, got {n}")
+    n, m = _check_dims("class3_state", n=n, m=m)
     T, m = _as_blocks(Zs, m, "class3_state", n)
     col = _level_columns(T)
     return _built_state(n, m, (col @ col.conj().T) / m, tol)
@@ -319,12 +316,8 @@ def nonabelian_bloch(U, Xi2, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
     both idempotence and agreement with ``class3_state(2, m, [U @ Xi2])``).
     Parameterized by ``2 m^2`` real numbers: a unitary and a PSD angle.
     """
-    U = _require_unitary(U, "nonabelian_bloch: U")
-    Xi2, (C, S) = _require_psd(Xi2, tol, "nonabelian_bloch: Xi2", ("cos", "sin"))
-    m = U.shape[0]
-    if Xi2.shape != (m, m):
-        raise DmParamError("nonabelian_bloch: U and Xi2 must match")
-    Ud = U.conj().T
+    U, _, _, C, S = _two_by_m_inputs("nonabelian_bloch", tol, U, Xi2)
+    Ud, m = U.conj().T, len(U)
     rho = np.block([[U @ S @ S @ Ud, U @ S @ C], [C @ S @ Ud, C @ C]]) / m
     return _built_state(2, m, rho, tol)
 

@@ -29,6 +29,7 @@ import numpy as np
 from .blocks import BlockParams
 from .errors import DmParamError
 from .families import FAMILIES, FamilySpec
+from .linalg import _check_dims
 from .single import SingleParams
 
 __all__ = [
@@ -205,11 +206,12 @@ def _json_matrix(rows) -> str:
 
 
 def write_matrix(path, mat, fmt: str = "json", n=None, m=None):
-    """Write a matrix as JSON (with optional dims) or as ``matrix_text``."""
+    """Write a matrix as JSON (with optional dims, positive integers) or as ``matrix_text``."""
+    dims = {key: dim for key, dim in (("n", n), ("m", m)) if dim is not None}
+    dims = dict(zip(dims, _check_dims("write_matrix", **dims)))
     rows = np.asarray(mat, dtype=complex).tolist()
     if fmt == "json":
-        doc = {"schema_version": SCHEMA_VERSION, "matrix": None}
-        doc.update((key, int(dim)) for key, dim in (("n", n), ("m", m)) if dim is not None)
+        doc = {"schema_version": SCHEMA_VERSION, "matrix": None, **dims}
         text = json.dumps(doc, indent=1).replace("null", _json_matrix(rows), 1)
     elif fmt == "matrix_text":
         text = "\n".join([" ".join([_fmt_complex(z) for z in row]) for row in rows])

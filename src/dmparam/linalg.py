@@ -1,18 +1,17 @@
-"""Dense complex linear-algebra kernel.
+"""Dense complex linear algebra, the chains' kernels and the shared input checks.
 
-All matrix functions in this module are evaluated spectrally, i.e. through a
-Hermitian eigendecomposition, never through truncated power series.  This
-guarantees that ``expm_skew`` returns a matrix that is unitary to rounding
-and that ``matfun_psd`` returns exactly Hermitian results, which the
-assembly code downstream relies on.
-
-Every function is pure: inputs are never modified and no module state is
-kept.  Randomness enters only through the explicit ``seed`` argument of
-:func:`haar_unitary`.
+Matrix functions are evaluated spectrally, through a Hermitian
+eigendecomposition, never by truncated power series: ``expm_skew`` is
+unitary to rounding and ``matfun_psd`` exactly Hermitian, as assembly relies
+on.  Every function is pure; randomness enters only through the ``seed`` of
+:func:`haar_unitary`.  Both chains run ``_generator`` and ``_chain``, and each
+input kind that several modules take has one check here (``_check_dims``,
+``_check_level``, ``_require_*``), which builds its message only on failure.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +70,25 @@ def _frobenius(x):
     ``np.linalg.norm``, it overflows to ``inf`` without a warning."""
     v = np.ascontiguousarray(x).view(float)
     return np.sqrt(np.einsum("...ij,...ij->...", v, v))
+
+
+def _check_dims(who, **dims):
+    """``dims`` as ints, each through ``operator.index`` (``2.0`` is refused) and at least 1."""
+    try:
+        ints = [operator.index(v) for v in dims.values()]
+        if not ints or min(ints) >= 1:
+            return ints
+        problem = "positive"
+    except TypeError:
+        problem, ints = "integers", list(dims.values())
+    got = ", ".join(f"{k}={v!r}" for k, v in zip(dims, ints))
+    raise DmParamError(f"{who}: dims must be {problem}, got {got}")
+
+
+def _check_level(who, j, n):
+    """Raise unless ``2 <= j <= n``: level ``j`` of an ``n``-level chain."""
+    if not 2 <= j <= n:
+        raise DmParamError(f"{who}: need 2 <= j <= n, got j={j}, n={n}")
 
 
 def _as_square(M, who):
@@ -222,6 +240,18 @@ def _levels_per_block(m):
     return 12 if m == 1 else 1
 
 
+def _generator(T, n):
+    """``nm x nm`` ``X_j`` of a checked ``(j - 1, m, m)`` level stack ``T``: ``T``
+    in block column ``j``, ``-T^dag`` in block row ``j``; ``m = 1`` for the single chain."""
+    k, m, _ = T.shape
+    X = np.zeros((n * m, n * m), dtype=complex)
+    col = k * m
+    Zh = T.reshape(col, m)
+    X[:col, col : col + m] = Zh
+    X[col : col + m, :col] = -Zh.conj().T
+    return X
+
+
 def _chain(d, Q, R, cm1, sin):
     """``V_L ... V_1`` as a ``d x d`` matrix, for ``L`` consecutive chain levels.
 
@@ -327,8 +357,7 @@ def haar_unitary(m: int, seed: int) -> np.ndarray:
     Standard construction: QR of a complex Ginibre matrix with the diagonal
     of R phase-fixed, which makes the distribution exactly Haar.
     """
-    if m < 1:
-        raise DmParamError(f"haar_unitary: m must be >= 1, got {m}")
+    (m,) = _check_dims("haar_unitary", m=m)
     rng = np.random.default_rng(seed)
     Z = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / np.sqrt(2.0)
     return _haar_qr(Z)

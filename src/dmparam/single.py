@@ -35,6 +35,9 @@ the familiar Bloch-ball parametrization with radius ``l1 - l2`` (replacing
 The diagonal first factor of the full unitary-group factorization commutes
 with ``diag(lambdas)`` and is therefore omitted: it would contribute no
 parameters to the state.
+
+Each input kind has one checker, shared by every function that takes it:
+``_check_simplex``, ``_check_zvec`` and ``linalg``'s for dims and levels.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DmParamError
-from .linalg import DEFAULT_TOL, Tolerances, _chain
+from .linalg import DEFAULT_TOL, Tolerances, _chain, _check_dims, _check_level, _generator
 from .states import DensityMatrix, _built_state
 
 __all__ = [
@@ -58,7 +61,7 @@ __all__ = [
 _SIMPLEX_TOL = 1e-12
 
 
-def _check_simplex(lambdas, size, descending, who):
+def _check_simplex(lambdas, size, who):
     lambdas = np.array(lambdas, dtype=float).reshape(-1)
     if lambdas.shape[0] != size:
         raise DmParamError(f"{who}: expected {size} eigenvalues, got {lambdas.shape[0]}")
@@ -72,14 +75,23 @@ def _check_simplex(lambdas, size, descending, who):
         total = float(np.sum(lambdas))
     if abs(total - 1.0) > _SIMPLEX_TOL:
         raise DmParamError(f"{who}: eigenvalues sum to {total!r}, not 1")
-    if descending and np.any(np.diff(lambdas) > _SIMPLEX_TOL):
-        raise DmParamError(f"{who}: eigenvalues must be sorted descending")
     return lambdas
+
+
+def _check_zvec(who, j, z):
+    """A read-only complex copy of level ``j``'s z-vector: ``j - 1`` finite entries."""
+    z = np.array(z, dtype=complex).reshape(-1)
+    if z.shape[0] != j - 1:
+        raise DmParamError(f"{who}: z-vector for j={j} must have length {j - 1}, got {len(z)}")
+    if not np.all(np.isfinite(z)):
+        raise DmParamError(f"{who}: z-vector for j={j} has non-finite entries")
+    z.flags.writeable = False
+    return z
 
 
 def _on_simplex(P, size):
     """Mask over a ``(..., size)`` stack: the rows that
-    ``_check_simplex(row, size, False, ...)`` accepts (all False for
+    ``_check_simplex(row, size, ...)`` accepts (all False for
     another last axis)."""
     P = np.asarray(P, dtype=float)
     if P.shape[-1:] != (size,):
@@ -109,43 +121,27 @@ class SingleParams:
     zvecs: tuple = field(default=())
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DmParamError(f"SingleParams: n must be >= 1, got {self.n}")
-        lambdas = _check_simplex(self.lambdas, self.n, True, "SingleParams")
+        (n,) = _check_dims("SingleParams", n=self.n)
+        lambdas = _check_simplex(self.lambdas, n, "SingleParams")
+        if np.any(np.diff(lambdas) > _SIMPLEX_TOL):
+            raise DmParamError("SingleParams: eigenvalues must be sorted descending")
         lambdas.flags.writeable = False
-        zvecs = []
-        if len(self.zvecs) != self.n - 1:
-            raise DmParamError(
-                f"SingleParams: expected {self.n - 1} z-vectors, got {len(self.zvecs)}"
-            )
-        for j, z in enumerate(self.zvecs, start=2):
-            z = np.array(z, dtype=complex).reshape(-1)
-            if z.shape[0] != j - 1:
-                raise DmParamError(
-                    f"SingleParams: z-vector for j={j} must have length {j - 1}, got {z.shape[0]}"
-                )
-            if not np.all(np.isfinite(z)):
-                raise DmParamError(f"SingleParams: z-vector for j={j} has non-finite entries")
-            z.flags.writeable = False
-            zvecs.append(z)
+        if len(self.zvecs) != n - 1:
+            raise DmParamError(f"SingleParams: expected {n - 1} z-vectors, got {len(self.zvecs)}")
+        zvecs = tuple(_check_zvec("SingleParams", j, z) for j, z in enumerate(self.zvecs, start=2))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "lambdas", lambdas)
-        object.__setattr__(self, "zvecs", tuple(zvecs))
+        object.__setattr__(self, "zvecs", zvecs)
 
 
 def build_Xj_single(z, n: int, j: int) -> np.ndarray:
     """Sparse skew-Hermitian generator: ``z`` in column ``j``, ``-z^dag`` in row ``j``.
 
-    The result satisfies ``X + X^dag = 0`` exactly and has zero trace.
+    The result satisfies ``X + X^dag = 0`` exactly and has zero trace: it
+    is :func:`dmparam.blocks.build_Xj_block` at ``m = 1``.
     """
-    z = np.asarray(z, dtype=complex).reshape(-1)
-    if not 2 <= j <= n:
-        raise DmParamError(f"need 2 <= j <= n, got j={j}, n={n}")
-    if z.shape[0] != j - 1:
-        raise DmParamError(f"z must have length {j - 1}, got {z.shape[0]}")
-    X = np.zeros((n, n), dtype=complex)
-    X[: j - 1, j - 1] = z
-    X[j - 1, : j - 1] = -z.conj()
-    return X
+    _check_level("build_Xj_single", j, n)
+    return _generator(_check_zvec("build_Xj_single", j, z).reshape(-1, 1, 1), n)
 
 
 def build_Vjn(z, j: int) -> np.ndarray:
@@ -155,12 +151,8 @@ def build_Vjn(z, j: int) -> np.ndarray:
     for any embedding dimension ``n >= j``.  Returns the identity for
     ``||z|| = 0`` (the limit value).
     """
-    z = np.asarray(z, dtype=complex).reshape(-1)
-    if j < 2 or z.shape[0] != j - 1:
-        raise DmParamError(f"build_Vjn: z must have length j-1 = {j - 1}, got {z.shape[0]}")
-    if not np.all(np.isfinite(z)):
-        raise DmParamError("build_Vjn: z has non-finite entries")
-    return _product(j, (z,))
+    _check_level("build_Vjn", j, j)
+    return _product(j, (_check_zvec("build_Vjn", j, z),))
 
 
 def assemble_rho_single(p: SingleParams, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
@@ -189,6 +181,5 @@ def _product(d, zvecs):
 
 def param_count(n: int) -> int:
     """Number of independent real parameters of an n-level state: ``n^2 - 1``."""
-    if n < 1:
-        raise DmParamError(f"n must be >= 1, got {n}")
+    (n,) = _check_dims("param_count", n=n)
     return n * n - 1

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DmParamError, NotPsdError
-from .linalg import DEFAULT_TOL, TRACE_TOL, Tolerances, _frobenius
+from .linalg import DEFAULT_TOL, TRACE_TOL, Tolerances, _check_dims, _frobenius
 
 __all__ = ["DensityMatrix", "check_states"]
 
@@ -118,7 +118,7 @@ class DensityMatrix:
     Parameters
     ----------
     n, m : int
-        Dimensions of the two tensor factors (``m = 1`` for single systems).
+        Positive dimensions of the two tensor factors (``m = 1`` for single systems).
     mat : array_like
         The ``nm x nm`` matrix.  Must be Hermitian within ``tol.tol_herm``,
         PSD within ``tol.tol_psd`` and trace-one within ``1e-10``.
@@ -134,10 +134,7 @@ class DensityMatrix:
     __slots__ = ("n", "m", "mat", "_eigenvalues")
 
     def __init__(self, n: int, m: int, mat, tol: Tolerances = DEFAULT_TOL):
-        n = int(n)
-        m = int(m)
-        if n < 1 or m < 1:
-            raise DmParamError(f"dims must be positive, got n={n}, m={m}")
+        n, m = _check_dims("DensityMatrix", n=n, m=m)
         mat = np.array(mat, dtype=complex)
         d = n * m
         if mat.shape != (d, d):

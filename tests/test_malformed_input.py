@@ -88,7 +88,7 @@ CASES = {
     "nan-single-lambdas": (_doc("single", {"lambdas": [1.0, float("nan")], "zvecs": [[0.3]]}),
                            "SingleParams: non-finite eigenvalue nan"),
     "single-no-lambdas": (_doc("single", {"lambdas": [], "zvecs": []}),
-                          "SingleParams: n must be >= 1, got 0"),
+                          "SingleParams: dims must be positive, got n=0"),
     "single-missing-zvec": (_doc("single", {"lambdas": [0.6, 0.4], "zvecs": []}),
                             "SingleParams: expected 1 z-vectors, got 0"),
     "single-long-zvec": (
@@ -112,7 +112,7 @@ CASES = {
         "nonabelian_bloch: U: matrix contains non-finite entries"),
     "nonabelian_bloch-1x1-Xi2": (
         _doc("family", {"family": "nonabelian_bloch", "U": _I2, "Xi2": [[0.5]]}),
-        "nonabelian_bloch: U and Xi2 must match"),
+        "nonabelian_bloch: all inputs must be m x m"),
     "analyze-missing-file": ((MISSING,), "cannot read"),
     "analyze-directory": ((DIRECTORY,), "cannot read"),
     "analyze-negative-dims-flags": ((_3X3_TEXT, "--n", "-1", "--m", "-3"),

@@ -48,7 +48,7 @@ def _old_text(mat):
 
 
 @settings(max_examples=200, deadline=None)
-@given(mat=matrices(), n=st.none() | st.integers(0, 9), m=st.none() | st.integers(0, 9))
+@given(mat=matrices(), n=st.none() | st.integers(1, 9), m=st.none() | st.integers(1, 9))
 def test_bytes_equal_the_json_and_text_formatters(mat, n, m, path):
     write_matrix(path, mat, "json", n, m)
     assert path.read_text(encoding="utf-8") == _old_json(mat, n, m)

@@ -21,8 +21,25 @@ where the rank is predicted to drop.
 At a spectrum with eigenvalue multiplicities ``n_i`` the states nearby are
 the unitary orbit, of dimension ``d^2 - sum n_i^2``, plus the ``d - 1``
 directions that move the eigenvalues, so the rank drops to
-``d^2 - 1 - sum n_i (n_i - 1)``.  Boundary angles are not tested: their drop
-is not derived.
+``d^2 - 1 - sum n_i (n_i - 1)``.
+
+At a right angle the rank drops by ``k^2``, ``k`` the number of angles of one
+level at ``pi / 2``.  Write that level's block vector as the thin SVD
+``Z = Q diag(sigma) R^dag``, and ``Q_K``, ``R_K`` for the columns of the
+``k`` right angles.  The corner ``C = cos Xi = R cos(sigma) R^dag`` of ``V_j``
+has the ``k``-dimensional kernel ``span R_K``, so the polar factor of ``Z``
+is free there in ``U(k)``: every ``Z' = Q diag(sigma) R'^dag`` with
+``R' = R`` but ``R'_K = R_K G``, ``G`` in ``U(k)``, is a block vector too.
+``V_j`` maps ``Q_K`` to ``-R_K`` and ``R_K`` to ``Q_K``, so ``V_j(Z') = V_j(Z)
+blockdiag(h, u)`` with ``h = I + Q_K (G - I) Q_K^dag`` on the top
+``(j - 1) m`` rows and ``u = I + R_K (G^dag - I) R_K^dag`` on the last ``m``.
+Inside ``A_j`` stands ``blockdiag(M, Lambda_j, ..., Lambda_n)``, ``M`` the
+state of the lower levels and cores: ``u`` moves into the local unitary of
+``Lambda_j``, and ``h M h^dag`` is reached by moving the lower levels and
+cores, as at a generic point.  So a ``k^2``-dimensional family of ``Z``
+gives one state and the rank is at most ``d^2 - 1 - k^2``; the tests find it
+equal, at the top level and below.  Angles at ``pi`` and beyond, outside the
+canonical domain, are not tested: their drop is not derived.
 """
 
 import numpy as np
@@ -183,6 +200,38 @@ def test_block_jacobian_rank_drops_at_degenerate_spectra(n, m, mult, seed):
 
     predicted = d * d - 1 - sum(k * (k - 1) for k in mult)
     assert _rank(state, list(_block_moves(lam, us, vecs)), d) == predicted
+
+
+def _right_angles(rng, T, k):
+    """``T``'s level with ``k`` of its ``m`` angles at ``pi / 2`` and the
+    others in ``[0.3, 1.3]``, the singular vectors of ``T`` kept."""
+    Q, _, Rh = np.linalg.svd(T.reshape(-1, T.shape[-1]), full_matrices=False)
+    sigma = rng.uniform(0.3, 1.3, len(Rh))
+    sigma[:k] = np.pi / 2
+    return ((Q * sigma) @ Rh).reshape(T.shape)
+
+
+_RIGHT_ANGLE_CASES = [(n, m, j, k) for n, m, j in
+                      [(2, 1, 2), (3, 1, 3), (2, 2, 2), (3, 2, 3), (2, 3, 2),  # top level
+                       (3, 1, 2), (3, 2, 2), (4, 2, 2)]  # a lower level
+                      for k in range(1, m + 1)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n, m, j, k", _RIGHT_ANGLE_CASES)
+def test_block_jacobian_rank_drops_by_k_squared_at_right_angles(n, m, j, k, seed):
+    d = n * m
+    rng = np.random.default_rng([seed, n, m, j, k])
+    lam = _separated_simplex(rng, d)
+    us = tuple(rand_unitary(rng, m) for _ in range(n))
+    vecs = [_below_right_angle(rng, rand_complex(rng, (i - 1, m, m))) for i in range(2, n + 1)]
+    vecs[j - 2] = _right_angles(rng, vecs[j - 2], k)
+    vecs = tuple(vecs)
+
+    def state(params):
+        return assemble_rho_block(BlockParams(n, m, *params)).mat
+
+    assert _rank(state, list(_block_moves(lam, us, vecs)), d) == d * d - 1 - k * k
 
 
 @settings(max_examples=25, deadline=None)

@@ -143,12 +143,12 @@ class TestBuildVjn:
             assert np.linalg.norm(V - np.eye(j)) <= 1e-7
 
     def test_rejects_bad_length(self):
-        with pytest.raises(DmParamError, match="^build_Vjn: z must have length j-1 = 1, got 2$"):
+        with pytest.raises(DmParamError, match="^build_Vjn: z-vector for j=2 must have length 1, got 2$"):
             build_Vjn(np.zeros(2), 2)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite(self, bad):
-        with pytest.raises(DmParamError, match="^build_Vjn: z has non-finite entries$"):
+        with pytest.raises(DmParamError, match="^build_Vjn: z-vector for j=3 has non-finite entries$"):
             build_Vjn([0.5, bad], 3)
 
 
@@ -201,5 +201,5 @@ def test_param_count(n, expected):
 
 
 def test_param_count_rejects_zero():
-    with pytest.raises(DmParamError, match="^n must be >= 1, got 0$"):
+    with pytest.raises(DmParamError, match="^param_count: dims must be positive, got n=0$"):
         param_count(0)

@@ -19,7 +19,6 @@ from dmparam import (
     class3_state,
     expm_skew,
     hankel_state,
-    isotropic,
     matfun_psd,
     nonabelian_bloch,
     toeplitz_state,
@@ -217,16 +216,6 @@ def test_class3_state_equals_top_level_column_bitwise(n, m, kind):
         Zs = [np.zeros((m, m))] * (n - 1)
     col = build_Ajnm(Zs, n, n, m)[:, (n - 1) * m :]
     assert np.array_equal(class3_state(n, m, Zs).mat, _sym((col @ col.conj().T) / m))
-
-
-def test_analyze_runs_the_state_gate_once(tmp_path, calls):
-    # the name is historical: analyze now runs no state gate, only the
-    # eigensolve of its spectrum
-    path = tmp_path / "rho.json"
-    write_matrix(path, isotropic(0.2).mat, n=2, m=2)
-    calls["eigvalsh"] = 0
-    assert main(["analyze", str(path)]) == 0
-    assert calls["eigvalsh"] == 2  # the spectrum and the partial transpose
 
 
 def test_analyze_takes_its_spectrum_from_one_eigvalsh(tmp_path, monkeypatch):
